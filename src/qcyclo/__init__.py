@@ -6,7 +6,7 @@ cyclotomic field at a root of unity, or the classical q -> 1 limit.
 """
 
 from .monomial import (CycloMonomial, ExponentVector, IDENTITY, SquareSplit,
-                       div, mul, pow_monomial, sqrt_split, support_size)
+                       div, mul, pow_monomial, sqrt_split)
 from .qfactor import divisors, qfact_monomial, qint_monomial
 from .compiler import (DCR, AdmissibilityError, AffineForm, PhasePoly,
                        SeriesDescriptor, SixJDescriptor, SixJLabels,
@@ -19,7 +19,7 @@ from .projection import (AmplitudeValue, Classical, ClassicalValue,
                          ProjectionContext, ProjectionRangeError,
                          RootOfUnityExact, SweepEvaluator,
                          amplitude_to_complex, classical_project, evaluate,
-                         exact_field_eval, make_context, phi_table,
+                         exact_field_eval, make_context,
                          project_monomial, root_of_unity_context,
                          unit_circle_q, vanishes_at)
 from .statesum import (DCRCache, Triangulation, TVStats,

@@ -11,7 +11,6 @@ usage or inadmissible input (bad triad, pole at the requested root).
 """
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -21,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from . import diagnostics, statesum
 from .compiler import (AdmissibilityError, SixJLabels, compile_count,
@@ -310,20 +308,6 @@ def _sweep_grid(cfg):
     return ts.astype(complex)
 
 
-def _mp_point(q, d_max, bits):
-    """Promote one grid point to mp, snapping onto the exact root of
-    unity when the double value sits within roundoff of one, so poles
-    and vanishing terms resolve exactly instead of as huge residues."""
-    with mp.workprec(bits):
-        if abs(abs(q) - 1.0) < 1e-12:
-            theta = cmath.phase(complex(q))
-            for n in range(1, d_max + 1):
-                m = round(theta * n / math.pi)
-                if abs(theta - math.pi * m / n) < 1e-9:
-                    return mp.expjpi(mp.mpf(m) / n)
-        return mp.mpc(q)
-
-
 def cmd_sweep(cfg):
     c0 = compile_count()
     t0 = time.perf_counter()
@@ -350,15 +334,15 @@ def cmd_sweep(cfg):
         for i, q in enumerate(qs):
             t0 = time.perf_counter()
             try:
-                with mp.workprec(bits):
-                    ctx = make_context(tag, dcr.d_max,
-                                       q=_mp_point(q, dcr.d_max, bits))
-                    v = complex(amplitude_to_complex(evaluate(dcr, ctx), ctx))
+                # the context moves a double q that lies on the unit
+                # circle, or on a root of unity, there to roundoff
+                ctx = make_context(tag, dcr.d_max, q=complex(q))
+                v = complex(amplitude_to_complex(evaluate(dcr, ctx), ctx))
                 dt = time.perf_counter() - t0
                 rows.append((i, "%.12e" % q.real, "%.12e" % q.imag,
                              "%.12e" % v.real, "%.12e" % v.imag, "ok",
                              "%.3f" % (1e6 * dt)))
-            except (PoleError, ProjectionRangeError, ZeroDivisionError):
+            except (PoleError, ProjectionRangeError):
                 dt = time.perf_counter() - t0
                 rows.append((i, "%.12e" % q.real, "%.12e" % q.imag,
                              "", "", "ERROR", "%.3f" % (1e6 * dt)))

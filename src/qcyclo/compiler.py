@@ -10,8 +10,10 @@ produces the parameter-independent tuple
 
 where base is the summand monomial at z_min, ratios[i] is the exact
 term-to-term ratio R_{z_min+i} as a single monomial, and root^2 * rad is
-the prefactor radicand with rad square-free.  No field arithmetic and no
-polynomial expansion happens anywhere in this module.
+the prefactor radicand with rad's cyclotomic exponents square-free and
+root's q-power zero over the quantum-integer basis (qfactor.fold).  No
+field arithmetic and no polynomial expansion happens anywhere in this
+module.
 
 Convention: the (-1)^z of an alternating series is absorbed into the sign
 of the base term as (-1)^{z_min}, after which each ratio carries one
@@ -254,11 +256,19 @@ def compile_series(desc):
 
     ratios = tuple(ratio_monomial(desc, z) for z in range(z_min, z_max))
     split = sqrt_split(desc.prefactor_radicand)
+    # move the q-power that root keeps over the quantum-integer basis into
+    # rad (root^2 * rad is unchanged): root then projects to a real number
+    # on the unit circle, and so does rad when the radicand is a product
+    # of quantum integers
+    shift = qfactor.fold(split.root)[0]
+    root = CycloMonomial(1, split.root.P - shift, split.root.exps)
+    rad = CycloMonomial(split.rad.sigma, split.rad.P + 2 * shift,
+                        split.rad.exps)
 
     d_max = max([base.max_index()] + [r.max_index() for r in ratios]
-                + [split.root.max_index(), split.rad.max_index()])
+                + [root.max_index(), rad.max_index()])
     _compile_count += 1
-    return DCR(base=base, ratios=ratios, root=split.root, rad=split.rad,
+    return DCR(base=base, ratios=ratios, root=root, rad=rad,
                z_min=z_min, z_max=z_max, d_max=d_max)
 
 

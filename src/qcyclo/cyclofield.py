@@ -174,13 +174,14 @@ class CycloNumber:
         n = int(n)
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        out = self.field.one
+        out = None
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return self.field.one if out is None else out
 
     def embed(self, prec=256):
         """Numeric value at zeta_2h = e^{i pi / h}, binary precision prec."""

@@ -30,6 +30,7 @@ from mpmath import mp, mpf
 
 from . import compiler, projection, qfactor
 from .compiler import SixJLabels, compile_sixj, sixj_descriptor
+from .monomial import CycloMonomial
 from .statesum import canonical_sixj
 
 
@@ -192,7 +193,11 @@ def _gamma_dcr(labels, h, bits=256):
     tag = projection.ComplexExtended(bits)
     ctx = projection.make_context(tag, dcr.d_max,
                                   q=projection.unit_circle_q(h, tag))
-    lphi = ctx.log_phi
+    # log10|Phi_d(q^2)|: the one-factor monomial through the projection
+    lphi = [None, None] + [
+        float(mp.log10(abs(projection.project_monomial(
+            CycloMonomial(1, 0, {d: 1}), ctx))))
+        for d in range(2, ctx.d_max + 1)]
     exps = dict(dcr.base.exps.items())
     best = _gamma_of(exps, lphi)
     for rz in dcr.ratios:

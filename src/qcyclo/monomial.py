@@ -110,10 +110,6 @@ class ExponentVector:
         return "ExponentVector(%r)" % dict(self.items())
 
 
-def support_size(e):
-    return e.support_size()
-
-
 class CycloMonomial:
     __slots__ = ("sigma", "P", "exps")
 

@@ -1,34 +1,43 @@
 """Field projections of cyclotomic monomials and DCR evaluation.
 
-A ProjectionContext fixes a target arithmetic (complex double, extended
-binary precision, the exact field Q(zeta_2h), or the classical q -> 1
-limit) together with a precomputed table of Phi_d(q^2) values.  Projecting
-a monomial is then sigma * q^P * prod phi[d]^{e_d}; evaluating a DCR walks
-the ratio chain, breaking early as soon as a ratio projects to zero, and
-returns the amplitude as a pair (a, r) meaning a*sqrt(r).
+Every target arithmetic (complex double, extended binary precision, the
+exact field Q(zeta_2h), the classical q -> 1 limit) is one ring
+homomorphism on the quantum-integer basis s_n = q^n - q^{-n}.  A monomial
+folds, by integer work alone (qfactor.fold), into
 
-The Phi table is built by the value recursion
+    sigma * q^{P'} * prod_n s_n^{F_n},   sum_n F_n = 0,
 
-    Phi_n(q^2) = (q^{2n} - 1) / prod_{d | n, d < n} Phi_d(q^2)
+so each arithmetic may scale s_n freely: a context holds sin(n theta) on
+the unit circle q = e^{i theta} (real), q^n - q^{-n} off it, x^n - x^{-n}
+in Q(zeta_2h), and n at q = 1.  At a root of unity e^{i pi a/h} exactly
+the s_n with h | n vanish, and the vanishing order of a monomial, the sum
+of F_n over those n, is its exponent e_h: a positive order projects to an
+exact zero, a negative one raises PoleError, and at order zero each
+vanishing s_n takes its limit (-1)^{an/h} n.  The classical limit is the
+case a = 0, h = 1.  lattice_order decides when a numeric q is such a root.
 
-with an automatic fallback to Horner evaluation of the exact integer
-coefficients whenever the recursion is ill-conditioned (|q^{2n} - 1|
-below 1e-8 * n) or the arithmetic is the exact field, where the recursion
-would hit 0/0 at multiples of h.  Horner results whose magnitude is below
-the roundoff of the evaluation itself are snapped to an exact zero, which
-is what lets double-precision root-of-unity contexts terminate early and
-flag the vanishing index exactly like the exact field does.
+Evaluating a DCR walks the ratio chain, stopping at the first ratio of
+positive order, and returns the amplitude as a pair (a, r) meaning
+a * sqrt(r).  For a 6j symbol every monomial folds to P' = 0, so on the
+unit circle a, r and root are real and the prefactor branch is decided
+by exact signs.
 """
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .cyclofield import CycloField, CycloNumber, cyclotomic_coeffs
+from .cyclofield import CycloField, CycloNumber
+from .qfactor import fold
+
+# unit roundoff of a q given as a Python or numpy double
+_U_DOUBLE = 2.0 ** -53
 
 
 class PoleError(ArithmeticError):
@@ -89,15 +98,16 @@ class ClassicalValue:
 
 
 class ProjectionContext:
-    """Immutable bundle: field tag, q, Phi table, log10|Phi| table."""
+    """Immutable bundle: field tag, q, and the table s[n], n = 1..d_max,
+    with the vanishing entries already replaced by their limits."""
 
-    __slots__ = ("tag", "q", "phi", "log_phi", "d_max", "vanishing_index", "_field")
+    __slots__ = ("tag", "q", "s", "one", "d_max", "vanishing_index", "_field")
 
-    def __init__(self, tag, q, phi, log_phi, d_max, vanishing_index=None, field=None):
+    def __init__(self, tag, q, s, one, d_max, vanishing_index=None, field=None):
         self.tag = tag
         self.q = q
-        self.phi = phi
-        self.log_phi = log_phi
+        self.s = s
+        self.one = one
         self.d_max = d_max
         self.vanishing_index = vanishing_index
         self._field = field
@@ -113,77 +123,53 @@ def unit_circle_q(h, tag):
     raise ValueError("unit_circle_q applies to numeric tags only")
 
 
-def _divisor_lists(d_max):
-    divs = [[] for _ in range(d_max + 1)]
-    for d in range(1, d_max + 1):
-        for n in range(d, d_max + 1, d):
-            divs[n].append(d)
-    return divs
+def lattice_order(sines, u):
+    """Order h of the root of unity e^{i pi a/h} that q = e^{i theta} is,
+    to the roundoff u of the precision q was given in, or 0.
+
+    sines[..., n - 1] = sin(n theta) for n = 1..n_max (floats or mpmath
+    numbers); leading axes are independent points.  The test is
+    |sin(n theta)| <= 64 n u, the roundoff of forming sin(n theta) from
+    a rounded q, and h is the first n that passes."""
+    sines = np.asarray(sines)
+    n = np.arange(1, sines.shape[-1] + 1)
+    hit = np.asarray(abs(sines) <= 64 * n * u, dtype=bool)
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, 0)
 
 
-def _horner(coeffs, x, one):
-    acc = one * 0
-    for c in reversed(coeffs):
-        acc = acc * x + one * c
-    return acc
+def _on_circle(q, u):
+    return abs(abs(q) - 1) <= 4 * u
 
 
-def phi_table(q, d_max, tag):
-    """Values Phi_d(q^2) for d = 1..d_max in the tag's arithmetic."""
-    if isinstance(tag, ComplexExtended):
-        with mp.workprec(tag.bits):
-            return _phi_table_numeric(mpc(q), d_max, mpf(1), mp.eps)
-    if isinstance(tag, ComplexDouble):
-        return _phi_table_numeric(complex(q), d_max, 1.0, 2.0 ** -52)
-    raise ValueError("phi_table handles numeric tags; exact tags build their own")
+def _take_limits(s, a, h, one):
+    """Replace each vanishing s_n, h | n, at e^{i pi a/h} by its limit."""
+    for n in range(h, len(s), h):
+        s[n] = one * (-n if (a * n // h) % 2 else n)
+    return s
 
 
-def _phi_table_numeric(q, d_max, one, eps):
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    x = q * q
-    table = [None] * (d_max + 1)
-    table[1] = x - one
-    divs = _divisor_lists(d_max)
-    for n in range(2, d_max + 1):
-        top = x ** n - one
-        if abs(top) < 1e-8 * n or any(table[d] == 0 for d in divs[n][:-1]):
-            coeffs = cyclotomic_coeffs(n)
-            v = _horner(coeffs, x, one)
-            # below the roundoff of the Horner form the value is zero
-            # to working precision: snap, so vanishing indices are exact
-            if abs(v) <= 64 * eps * sum(abs(c) for c in coeffs):
-                v = one * 0
-            table[n] = v
-        else:
-            for d in divs[n][:-1]:
-                top = top / table[d]
-            table[n] = top
-    return table
-
-
-def _log10_table(phi):
-    out = [None] * len(phi)
-    for d, v in enumerate(phi):
-        if v is None:
-            continue
-        av = abs(v)
-        out[d] = float(mp.log10(av)) if isinstance(av, mpf) else (
-            math.log10(av) if av > 0 else float("-inf"))
-    return out
-
-
-def _prime_power_base(d):
-    """p when d = p^m, else None."""
-    p = 2
-    n = d
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1
-    return n  # n prime
+def _numeric_table(q, d_max, u, one):
+    """(q, s, h): q moved onto the unit circle, or onto the root of unity
+    e^{i pi a/h} it lies on to roundoff, the table s, and h or None."""
+    if not _on_circle(q, u):
+        s, qn = [None], one
+        for _ in range(d_max):
+            qn = qn * q
+            s.append(qn - 1 / qn)
+        return q, s, None
+    extended = isinstance(one, mpf)
+    sin, pi, arg = ((mp.sin, mp.pi, mp.arg) if extended
+                    else (math.sin, math.pi, cmath.phase))
+    theta = arg(q)
+    s = [None] + [sin(n * theta) for n in range(1, d_max + 1)]
+    h = int(lattice_order(s[1:], u))
+    if not h:
+        return q / abs(q), s, None
+    a = round(h * float(theta) / math.pi)
+    # sin(pi a n / h), the argument reduced exactly
+    s = [None] + [sin(pi * (a * n % (2 * h)) / h) for n in range(1, d_max + 1)]
+    q = mp.expjpi(one * a / h) if extended else cmath.exp(1j * pi * a / h)
+    return q, _take_limits(s, a, h, one), h
 
 
 def make_context(tag, d_max, q=None):
@@ -191,33 +177,29 @@ def make_context(tag, d_max, q=None):
     if isinstance(tag, (ComplexDouble, ComplexExtended)):
         if q is None:
             raise ValueError("numeric contexts need an explicit q")
-        phi = phi_table(q, d_max, tag)
-        log_phi = _log10_table(phi)
-        vanish = next((d for d in range(2, d_max + 1) if phi[d] == 0), None)
-        return ProjectionContext(tag, q, phi, log_phi, d_max, vanish)
+        if q == 0:
+            raise ValueError("q must be nonzero")
+        if isinstance(tag, ComplexDouble):
+            q, s, h = _numeric_table(complex(q), d_max, _U_DOUBLE, 1.0)
+            return ProjectionContext(tag, q, s, 1.0, d_max, h)
+        u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
+            else mpf(2) ** -tag.bits
+        with mp.workprec(tag.bits):
+            q, s, h = _numeric_table(mpc(q), d_max, u, mpf(1))
+        return ProjectionContext(tag, q, s, mpf(1), d_max, h)
     if isinstance(tag, RootOfUnityExact):
-        fld = CycloField(tag.h)
-        x = fld.q * fld.q
-        phi = [None] * (d_max + 1)
-        phi[1] = x - fld.one
-        for d in range(2, d_max + 1):
-            phi[d] = _horner(cyclotomic_coeffs(d), x, fld.one)
-        log_phi = [None] * (d_max + 1)
-        for d in range(1, d_max + 1):
-            if phi[d].is_zero():
-                log_phi[d] = float("-inf")
-            else:
-                log_phi[d] = float(mp.log10(abs(phi[d].embed(64))))
-        vanish = tag.h if tag.h <= d_max else None
-        return ProjectionContext(tag, fld.q, phi, log_phi, d_max, vanish, field=fld)
+        fld, h = CycloField(tag.h), tag.h
+        s = [None] + [fld.element_from_power(n) - fld.element_from_power(-n)
+                      for n in range(1, d_max + 1)]
+        return ProjectionContext(tag, fld.q, _take_limits(s, 1, h, fld.one),
+                                 fld.one, d_max, h if h <= d_max else None,
+                                 field=fld)
     if isinstance(tag, Classical):
-        phi = [None] * (d_max + 1)
-        phi[1] = Fraction(0)
-        for d in range(2, d_max + 1):
-            p = _prime_power_base(d)
-            phi[d] = Fraction(p if p is not None else 1)
-        log_phi = [None] + [math.log10(v) if v > 0 else float("-inf") for v in phi[1:]]
-        return ProjectionContext(tag, None, phi, log_phi, d_max)
+        # q = 1 is e^{i pi 0/1}: every s_n vanishes and takes its limit n
+        one = Fraction(1)
+        return ProjectionContext(tag, one, _take_limits([None] * (d_max + 1),
+                                                        0, 1, one),
+                                 one, d_max, 1)
     raise ValueError("unknown field tag %r" % (tag,))
 
 
@@ -231,63 +213,43 @@ def vanishes_at(m, h):
 
 
 def project_monomial(m, ctx):
+    if isinstance(ctx.tag, ComplexExtended):
+        with mp.workprec(ctx.tag.bits):
+            return _project(m, ctx)
+    return _project(m, ctx)
+
+
+def _project(m, ctx):
     if m.max_index() > ctx.d_max:
         raise ValueError("monomial index %d exceeds context d_max %d"
                          % (m.max_index(), ctx.d_max))
-    tag = ctx.tag
-    if isinstance(tag, RootOfUnityExact):
-        h = tag.h
-        eh = m.exps.get(h)
-        if eh > 0:
-            return ctx._field.zero
-        if eh < 0:
+    h = ctx.vanishing_index
+    if h is not None:
+        order = m.exps.get(h)  # sum of F_n over the multiples n of h
+        if order > 0:
+            return ctx.one * 0
+        if order < 0:
             raise PoleError("inadmissible: pole at Phi_%d" % h)
-        out = ctx._field.q_power(m.P)
-        if m.sigma < 0:
-            out = -out
-        for d, e in m.exps.items():
-            out = out * ctx.phi[d] ** e
-        return out
-    if isinstance(tag, Classical):
-        out = Fraction(m.sigma)
-        for d, e in m.exps.items():
-            out *= ctx.phi[d] ** e
-        return out
-    # numeric regimes; a snapped zero in the table behaves like the exact field
-    if ctx.vanishing_index is not None:
-        eh = m.exps.get(ctx.vanishing_index)
-        if eh > 0:
-            return ctx.phi[ctx.vanishing_index] * 0
-        if eh < 0:
-            raise PoleError("inadmissible: pole at Phi_%d" % ctx.vanishing_index)
-    if isinstance(tag, ComplexExtended):
-        with mp.workprec(tag.bits):
-            out = ctx.q ** m.P
-            if m.sigma < 0:
-                out = -out
-            for d, e in m.exps.items():
-                out = out * ctx.phi[d] ** e
-            return out
+    P, F = fold(m)
     try:
-        # complex ** int raises OverflowError rather than returning inf
-        out = ctx.q ** m.P
-        if m.sigma < 0:
-            out = -out
-        for d, e in m.exps.items():
-            out = out * ctx.phi[d] ** e
-    except OverflowError:
-        raise ProjectionRangeError("projection overflowed double precision; "
-                                   "use an extended-precision tag") from None
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise ProjectionRangeError(
-            "projection overflowed double precision; use an extended-precision tag")
-    return out
+        out = (_product([ctx.s[n] ** f for n, f in F.items() if f > 0], ctx.one)
+               / _product([ctx.s[n] ** -f for n, f in F.items() if f < 0], ctx.one))
+        if P:
+            out = out * (ctx._field.q_power(P) if ctx._field else ctx.q ** P)
+    except (OverflowError, ZeroDivisionError):
+        # in double, x ** int raises instead of returning inf, and an
+        # underflowed denominator divides by zero
+        if not isinstance(ctx.tag, ComplexDouble):
+            raise
+        out = math.inf
+    if isinstance(ctx.tag, ComplexDouble) and not 0 < abs(out) < math.inf:
+        raise ProjectionRangeError("projection left double precision range; "
+                                   "use an extended-precision tag")
+    return -out if m.sigma < 0 else out
 
 
-def _is_zero_value(v):
-    if isinstance(v, CycloNumber):
-        return v.is_zero()
-    return v == 0
+def _product(factors, one):
+    return functools.reduce(operator.mul, factors) if factors else one
 
 
 def evaluate(dcr, ctx):
@@ -303,17 +265,16 @@ def evaluate(dcr, ctx):
 
 
 def _evaluate_loop(dcr, ctx):
-    term = project_monomial(dcr.base, ctx)
-    total = term
+    h = ctx.vanishing_index
+    term = total = _project(dcr.base, ctx)
     for rz in dcr.ratios:
-        v = project_monomial(rz, ctx)
-        if _is_zero_value(v):
-            break  # every later term contains this vanishing factor
-        term = term * v
+        if h is not None and rz.exps.get(h) > 0:
+            break  # this ratio vanishes, and every later term contains it
+        term = term * _project(rz, ctx)
         total = total + term
-    root = project_monomial(dcr.root, ctx)
+    root = _project(dcr.root, ctx)
     a = root * total
-    r = project_monomial(dcr.rad, ctx)
+    r = _project(dcr.rad, ctx)
     if isinstance(ctx.tag, ComplexDouble):
         for v in (a, r):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -352,7 +313,7 @@ def amplitude_to_complex(v, ctx, bits=256):
 
 
 def classical_project(dcr):
-    """Exact rational (a, r) at q = 1 via Phi_d(1) = p for prime powers."""
+    """Exact rational (a, r) at q = 1, where s_n = n."""
     ctx = make_context(Classical(), dcr.d_max)
     out = evaluate(dcr, ctx)
     return ClassicalValue(a=out.a, r=out.r)
@@ -363,108 +324,102 @@ def exact_field_eval(dcr, h):
     return evaluate(dcr, ctx)
 
 
-def _mobius_sieve(n):
-    mu = np.ones(n + 1, dtype=np.int64)
-    primes = []
-    is_comp = np.zeros(n + 1, dtype=bool)
-    smallest = np.zeros(n + 1, dtype=np.int64)
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-            smallest[i] = i
-        for p in primes:
-            if i * p > n:
-                break
-            is_comp[i * p] = True
-            smallest[i * p] = p
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    mu[0] = 0
-    return mu
+def _turn(t):
+    """e^{i pi t}, exact where 2t is an integer."""
+    k = np.rint(2 * t)
+    out = np.array([1, 1j, -1, -1j])[np.nan_to_num(k).astype(np.int64) % 4]
+    inexact = k != 2 * t
+    if inexact.any():
+        out[inexact] = np.exp(1j * np.pi * t[inexact])
+    return out
 
 
 class SweepEvaluator:
     """Log-domain double-precision projection of one DCR across many q.
 
-    Both the Moebius inversion that turns log(q^{2d} - 1) into the
-    cyclotomic logs and the contraction against each monomial's
-    exponents are linear, so they fold at construction time into one
-    small integer matrix F with
-
-        F[m, d] = sum over multiples n of d up to d_max of
-                  mu(n / d) * e_{m, n}
-
-    and the log of monomial m at q is (w @ F.T)[m] + P_m log q
-    + i pi [sigma_m < 0] with w_d = log(q^{2d} - 1).  A batch of q
-    values then costs one cumulative product, one log, and two real
-    matrix products.  Exactness of the integer exponents makes the
-    complex-log branch ambiguity harmless: exp(e * log(x)) = x^e for
-    integer e regardless of the branch chosen for log(x).
+    The rows (base, ratios, root, rad) fold once into an integer matrix F
+    and a vector P', so the log of row m at a point is
+    (log s @ F.T)[m] + P'_m log q, s as in a scalar context.  Magnitudes
+    and phases are carried apart; on the unit circle every s_n is real, a
+    6j row's phase is a whole number of half turns, and the signs of the
+    terms and of the prefactor branch come out exact.  Roots of unity
+    take the limits and vanishing orders of the scalar rule.  The base and
+    the largest term are factored out before exp.
     """
 
     def __init__(self, dcr):
         self.dcr = dcr
         D = max(dcr.d_max, 2)
         self.d_max = D
-        mu = _mobius_sieve(D)
-        mob = np.zeros((D, D))
-        for n in range(1, D + 1):
-            for d in range(1, n + 1):
-                if n % d == 0 and mu[n // d] != 0:
-                    mob[n - 1, d - 1] = mu[n // d]
-        # row order: base, ratios, root, rad
         monos = [dcr.base, *dcr.ratios, dcr.root, dcr.rad]
-        E = np.zeros((len(monos), D))
+        F = np.zeros((len(monos), D))
+        P = np.zeros(len(monos))
         for i, m in enumerate(monos):
-            for d, e in m.exps.items():
-                E[i, d - 1] = e
-        # entries are small integer combinations, exact in float64
-        self._F = E @ mob
-        self._P = np.array([m.P for m in monos], dtype=np.float64)
-        self._neg = np.array([math.pi if m.sigma < 0 else 0.0 for m in monos])
+            P[i], row = fold(m)
+            for n, f in row.items():
+                F[i, n - 1] = f
+        self._F = F
+        self._P = P
+        self._neg = np.array([1.0 if m.sigma < 0 else 0.0 for m in monos])
         self._nratios = len(dcr.ratios)
 
     def amplitudes(self, qs):
         """Amplitude a * sqrt(r) for each q, as a complex array; the
         prefactor branch matches evaluate() (root * sqrt(rad) in the
-        right half plane).  Points within the snap tolerance of a root
-        of unity are rerouted through the scalar path, where vanishing
-        indices snap exactly; there a pole comes back as NaN and double
-        overflow as inf, so non-finite entries mark exactly those."""
+        right half plane).  NaN marks a pole and inf a value past double
+        range; nothing else is non-finite."""
         qs = np.asarray(qs, dtype=complex)
-        logq = np.log(qs)
-        R = self._nratios
+        R, F = self._nratios, self._F
+        n = np.arange(1, self.d_max + 1)
+        theta = np.angle(qs)
+        on = _on_circle(qs, _U_DOUBLE)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            pw = np.tile((qs * qs)[:, None], (1, self.d_max))
-            np.multiply.accumulate(pw, axis=1, out=pw)  # q^2d, d = 1..d_max
-            pw -= 1.0
-            mag = np.abs(pw)
-            hits = (mag < 1e-8 * np.arange(1, self.d_max + 1)).any(axis=1)
-            rows_re = np.log(mag) @ self._F.T \
-                + self._P[None, :] * logq.real[:, None]
-            rows_im = np.arctan2(pw.imag, pw.real) @ self._F.T \
-                + self._P[None, :] * logq.imag[:, None] + self._neg[None, :]
-            rows = rows_re + 1j * rows_im
-            lterms = rows[:, :1 + R].cumsum(axis=1)
-            total = np.exp(lterms).sum(axis=1)
-            pref = np.exp(rows[:, 1 + R] + 0.5 * rows[:, 2 + R])
-            flip = (pref.real < 0) | ((pref.real == 0) & (pref.imag < 0))
-            out = np.where(flip, -pref, pref) * total
-        if hits.any():
-            # on the lattice the log-domain kernels see roundoff instead of
-            # exact zeros; the table-based path snaps them
-            for i in np.nonzero(hits)[0]:
-                out[i] = self._scalar_point(complex(qs[i]))
-        return out
+            s = np.sin(np.multiply.outer(theta, n))
+            if not on.all():
+                s = s.astype(complex)
+                z = np.exp(np.multiply.outer(np.log(qs[~on]), n))
+                s[~on] = z - 1 / z
+            order = np.zeros((len(qs), len(F)))
+            h = np.where(on, lattice_order(s, _U_DOUBLE), 0)
+            pts = np.nonzero(h)[0]
+            if len(pts):
+                hp = h[pts, None]
+                k = np.rint(hp * theta[pts, None] / np.pi).astype(np.int64) \
+                    * n % (2 * hp)  # a n mod 2h
+                vanish = n % hp == 0
+                s[pts] = np.where(vanish, np.where(k == hp, -n, n),
+                                  np.sin(np.pi * k / hp))
+                order[pts] = vanish @ F.T
+            logs = np.log(np.abs(s)) @ F.T \
+                + np.outer(np.where(on, 0.0, np.log(np.abs(qs))), self._P)
+            # phases in half turns; a real s_n has 0 or 1
+            half = np.angle(s) / np.pi if np.iscomplexobj(s) else s < 0
+            turns = half @ F.T \
+                + np.outer(theta / np.pi, self._P) + self._neg
 
-    def _scalar_point(self, q):
-        ctx = make_context(ComplexDouble(), self.d_max, q=q)
-        try:
-            return complex(amplitude_to_complex(evaluate(self.dcr, ctx), ctx))
-        except PoleError:
-            return complex(float("nan"), float("nan"))
-        except ProjectionRangeError:
-            return complex(float("inf"), float("inf"))
+            # term j = base * ratios 1..j; only the ratios up to the first
+            # one of positive order are projected, and the terms after it
+            # vanish
+            ratio_order = order[:, 1:1 + R]
+            first = np.hstack([ratio_order > 0,
+                               np.ones((len(qs), 1), bool)]).argmax(axis=1)
+            pole = (order[:, 0] < 0) | (order[:, R + 1:] < 0).any(axis=1) \
+                | ((ratio_order < 0) & (np.arange(R) < first[:, None])).any(axis=1)
+            live = (np.arange(R + 1) <= first[:, None]) & (order[:, :1] <= 0)
+            zeros = np.zeros((len(qs), 1))
+            cum_l = np.hstack([zeros, logs[:, 1:1 + R].cumsum(axis=1)])
+            cum_t = np.hstack([zeros, turns[:, 1:1 + R].cumsum(axis=1)])
+            top = np.where(live, cum_l, -np.inf).max(axis=1)
+            top = np.where(np.isfinite(top), top, 0.0)
+            total = (np.where(live, np.exp(cum_l - top[:, None]), 0.0)
+                     * _turn(cum_t)).sum(axis=1)
+            # principal square root of root^2 * rad: half its phase, taken
+            # in (-1, 1] half turns
+            t = 2 * turns[:, R + 1] + turns[:, R + 2]
+            w = _turn(t / 2 - np.ceil((t - 1) / 2)) * _turn(turns[:, 0]) * total
+            mag = np.exp(logs[:, 0] + top + logs[:, R + 1] + 0.5 * logs[:, R + 2])
+            out = np.empty(len(qs), dtype=complex)
+            out.real = np.where(w.real == 0, 0.0, mag * w.real)
+            out.imag = np.where(w.imag == 0, 0.0, mag * w.imag)
+        out[pole] = complex(math.nan, math.nan)
+        return out

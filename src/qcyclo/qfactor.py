@@ -6,7 +6,8 @@
 Both are returned as CycloMonomial values; nothing here ever touches a
 field element.  Factorials are memoized since triangle coefficients reuse
 the same arguments heavily (cache fills are idempotent, so a racing fill
-is harmless).
+is harmless).  fold() runs the other way: it rewrites any monomial over
+the quantum-integer basis s_n = q^n - q^{-n}, by integer work alone.
 """
 
 import functools
@@ -49,3 +50,39 @@ def qfact_monomial(n):
 def clear_caches():
     qint_monomial.cache_clear()
     qfact_monomial.cache_clear()
+
+
+@functools.cache
+def _fold_row(d):
+    """(totient(d), ((n, mu(d/n)), ...)) over the n | d with d/n square-free."""
+    primes, rest, p = [], d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    row, totient = [(d, 1)], d
+    for p in primes:
+        row += [(n // p, -mu) for n, mu in row]
+        totient = totient // p * (p - 1)
+    return totient, tuple(row)
+
+
+def fold(m):
+    """(P', F) with m = sigma * q^P' * prod_n s_n^F[n], s_n = q^n - q^{-n}.
+
+    Moebius inversion of q^{2n} - 1 = prod_{d | n} Phi_d(q^2) gives
+    Phi_d(q^2) = q^totient(d) * prod_{n | d} s_n^mu(d/n), so
+    F[n] = sum over multiples d of n of mu(d/n) e_d and
+    P' = P + sum_d e_d totient(d).  The F[n] sum to zero, and
+    [n] = s_n / s_1 folds to P' = 0."""
+    P, F = m.P, {}
+    for d, e in m.exps.items():
+        totient, row = _fold_row(d)
+        P += e * totient
+        for n, mu in row:
+            F[n] = F.get(n, 0) + mu * e
+    return P, {n: f for n, f in F.items() if f}

@@ -34,6 +34,36 @@ def trig_qfact_mp(n, theta):
     return out
 
 
+def qracah_sixj_mp(tjs, theta):
+    """Quantum 6j symbol at q = e^{i theta} by the q-Racah single sum over
+    trig_qint_mp quantum integers, in plain mpmath at the ambient
+    precision.  The prefactor is the principal square root of the whole
+    radicand, the product of the four triangle coefficients; it is
+    imaginary where that product is negative."""
+    from mpmath import mp
+    t = tjs
+    triads = ((t[0], t[1], t[2]), (t[0], t[4], t[5]),
+              (t[1], t[3], t[5]), (t[2], t[3], t[4]))
+    radicand = mp.mpf(1)
+    for ta, tb, tc in triads:
+        s = (ta + tb + tc) // 2
+        radicand *= (trig_qfact_mp(s - tc, theta) * trig_qfact_mp(s - tb, theta)
+                     * trig_qfact_mp(s - ta, theta) / trig_qfact_mp(s + 1, theta))
+    a = [sum(tr) // 2 for tr in triads]
+    b = [(t[0] + t[1] + t[3] + t[4]) // 2,
+         (t[0] + t[2] + t[3] + t[5]) // 2,
+         (t[1] + t[2] + t[4] + t[5]) // 2]
+    series = mp.mpf(0)
+    for z in range(max(a), min(b) + 1):
+        den = mp.mpf(1)
+        for ai in a:
+            den *= trig_qfact_mp(z - ai, theta)
+        for by in b:
+            den *= trig_qfact_mp(by - z, theta)
+        series += (-1) ** z * trig_qfact_mp(z + 1, theta) / den
+    return mp.sqrt(radicand) * series
+
+
 def frac_fact(n):
     out = Fraction(1)
     for m in range(2, n + 1):

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from qcyclo.monomial import (CycloMonomial, ExponentVector, IDENTITY,
                              div, entry_ops, mul, pow_monomial,
-                             reset_entry_ops, sqrt_split, support_size)
+                             reset_entry_ops, sqrt_split)
 
 exp_dicts = st.dictionaries(st.integers(min_value=2, max_value=40),
                             st.integers(min_value=-30, max_value=30),
@@ -85,7 +85,7 @@ class TestMonomialAlgebra:
 
     def test_support_size(self):
         m = CycloMonomial(1, 0, ExponentVector({2: 1, 9: -4}))
-        assert support_size(m.exps) == 2
+        assert m.exps.support_size() == 2
 
 
 class TestOverflowGuard:

@@ -1,4 +1,4 @@
-"""Projection layer: Phi tables, monomial images, evaluation, sweeps."""
+"""Projection layer: the fold rule, monomial images, evaluation, sweeps."""
 
 import cmath
 import math
@@ -11,17 +11,17 @@ from mpmath import mp, mpf
 
 from qcyclo.compiler import DCR, SixJLabels, compile_sixj
 from qcyclo.diagnostics import lse_eval_sixj
-from qcyclo.monomial import CycloMonomial, mul
+from qcyclo.monomial import CycloMonomial, div, mul
 from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
                                PoleError, ProjectionRangeError,
                                RootOfUnityExact, SweepEvaluator,
                                amplitude_to_complex, classical_project,
                                evaluate, exact_field_eval, make_context,
-                               phi_table, project_monomial,
-                               root_of_unity_context, unit_circle_q,
-                               vanishes_at)
+                               project_monomial, root_of_unity_context,
+                               unit_circle_q, vanishes_at)
+from qcyclo.qfactor import qint_monomial
 
-from conftest import racah_sixj_squared
+from conftest import qracah_sixj_mp, racah_sixj_squared
 
 ALL_ONES = SixJLabels(2, 2, 2, 2, 2, 2)
 BRANCH_LABELS = SixJLabels(2, 2, 4, 3, 1, 3)
@@ -45,6 +45,11 @@ def phi_direct_mp(d, x):
     return out
 
 
+def phi_monomial(d, e=1):
+    """The one-factor monomial Phi_d(q^2)^e."""
+    return CycloMonomial(1, 0, {d: e})
+
+
 def f64_amplitude(labels, h):
     dcr = compile_sixj(labels)
     ctx = root_of_unity_context(h, ComplexDouble(), dcr.d_max)
@@ -58,43 +63,75 @@ def mp_amplitude(labels, h, bits=256):
 
 
 class TestPhiTable:
+    """Phi_d(q^2) is the one-factor monomial projected through the rule."""
+
     def test_double_matches_root_product(self):
         q = cmath.exp(0.7j)
-        table = phi_table(q, 30, ComplexDouble())
+        ctx = make_context(ComplexDouble(), 30, q=q)
         x = q * q
-        for d in range(1, 31):
+        for d in range(2, 31):  # Phi_1 is not a monomial of the basis
             want = phi_direct_double(d, x)
-            assert abs(table[d] - want) <= 1e-9 * abs(want)
+            got = project_monomial(phi_monomial(d), ctx)
+            assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_mp_matches_root_product(self):
         tag = ComplexExtended(256)
         with mp.workprec(256):
             q = mp.expjpi(mpf(1) / mpf(17) + mpf(1) / 1000)  # off the lattice
-            table = phi_table(q, 30, tag)
+            ctx = make_context(tag, 30, q=q)
             x = q * q
-            for d in range(1, 31):
+            for d in range(2, 31):
                 want = phi_direct_mp(d, x)
-                assert abs(table[d] - want) <= mpf(10) ** -60 * abs(want)
+                got = project_monomial(phi_monomial(d), ctx)
+                assert abs(got - want) <= mpf(10) ** -60 * abs(want)
 
     @pytest.mark.parametrize("h", (5, 6, 7, 12))
     def test_snap_to_zero_at_vanishing_index(self, h):
         ctx = root_of_unity_context(h, ComplexDouble(), 2 * h)
-        assert ctx.phi[h] == 0  # exactly, via the snap
+        assert project_monomial(phi_monomial(h), ctx) == 0  # exactly
+        with pytest.raises(PoleError):
+            project_monomial(phi_monomial(h, -1), ctx)
         assert ctx.vanishing_index == h
         for d in range(2, 2 * h + 1):
             if d != h:
-                assert ctx.phi[d] != 0
+                assert project_monomial(phi_monomial(d), ctx) != 0
 
     def test_snap_mp(self):
         ctx = root_of_unity_context(9, ComplexExtended(192), 12)
-        assert ctx.phi[9] == 0
+        assert project_monomial(phi_monomial(9), ctx) == 0
+        with pytest.raises(PoleError):
+            project_monomial(phi_monomial(9, -2), ctx)
         assert ctx.vanishing_index == 9
 
     def test_rejects_exact_tag_and_zero_q(self):
         with pytest.raises(ValueError):
-            phi_table(1.0 + 0j, 5, RootOfUnityExact(5))
+            unit_circle_q(5, RootOfUnityExact(5))
         with pytest.raises(ValueError):
-            phi_table(0j, 5, ComplexDouble())
+            make_context(ComplexDouble(), 5, q=0j)
+        with pytest.raises(ValueError):
+            make_context(ComplexExtended(64), 5, q=0j)
+
+
+class TestLimitRule:
+    """[10]/[5] at h = 5: both quantum integers vanish, the quotient is
+    q^5 + q^-5 = -2, and the classical limit 10/5 = 2."""
+
+    RATIO = div(qint_monomial(10), qint_monomial(5))
+
+    def test_numeric(self):
+        for tag in (ComplexDouble(), ComplexExtended(128)):
+            ctx = root_of_unity_context(5, tag, 10)
+            assert ctx.vanishing_index == 5
+            assert project_monomial(self.RATIO, ctx) == -2
+
+    def test_exact(self):
+        ctx = make_context(RootOfUnityExact(5), 10)
+        assert project_monomial(self.RATIO, ctx) \
+            == ctx._field.from_rational(-2)
+
+    def test_classical(self):
+        ctx = make_context(Classical(), 10)
+        assert project_monomial(self.RATIO, ctx) == 2
 
 
 class TestContexts:
@@ -111,12 +148,14 @@ class TestContexts:
         ctx = make_context(Classical(), 12)
         want = {2: 2, 3: 3, 4: 2, 5: 5, 6: 1, 7: 7, 8: 2, 9: 3, 12: 1}
         for d, v in want.items():
-            assert ctx.phi[d] == Fraction(v)
+            assert project_monomial(phi_monomial(d), ctx) == Fraction(v)
 
     def test_exact_context_vanishing(self):
         ctx = make_context(RootOfUnityExact(7), 10)
         assert ctx.vanishing_index == 7
-        assert ctx.phi[7].is_zero()
+        assert project_monomial(phi_monomial(7), ctx).is_zero()
+        with pytest.raises(PoleError):
+            project_monomial(phi_monomial(7, -1), ctx)
         assert make_context(RootOfUnityExact(7), 5).vanishing_index is None
 
     def test_numeric_needs_q(self):
@@ -294,6 +333,43 @@ class TestAmplitude:
         assert cmp == sign
 
 
+class TestBranch:
+    """The prefactor branch at generic unit-circle points, sign included,
+    against the plain q-Racah sum in mpmath."""
+
+    # points where the radicand is negative and its rounded imaginary
+    # part used to pick the wrong root
+    HARD = (Fraction(21037, 99700), Fraction(11017, 49850),
+            Fraction(6007, 24925))
+    # every [n] the symbol needs is nonzero off roots of order <= 6
+    GRID = tuple(Fraction(k, 100) for k in range(1, 100)
+                 if Fraction(k, 100).denominator > 6)
+
+    @staticmethod
+    def truth(t):
+        with mp.workprec(256):
+            return complex(qracah_sixj_mp(BRANCH_LABELS.as_tuple(),
+                                          mp.pi * mpf(t.numerator) / t.denominator))
+
+    @pytest.mark.parametrize("t", HARD + GRID,
+                             ids=lambda t: "%d_%d" % (t.numerator, t.denominator))
+    def test_matches_plain_sum(self, t):
+        dcr = compile_sixj(BRANCH_LABELS)
+        want = self.truth(t)
+        q = cmath.exp(1j * math.pi * t)
+        got = SweepEvaluator(dcr).amplitudes(np.array([q]))[0]
+        assert abs(got - want) <= 1e-9 * abs(want)
+        ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
+        got = amplitude_to_complex(evaluate(dcr, ctx), ctx)
+        assert abs(got - want) <= 1e-9 * abs(want)
+        tag = ComplexExtended(128)
+        with mp.workprec(128):
+            qm = mp.expjpi(mpf(t.numerator) / t.denominator)
+        ctx = make_context(tag, dcr.d_max, q=qm)
+        got = complex(amplitude_to_complex(evaluate(dcr, ctx), ctx))
+        assert abs(got - want) <= 1e-30 * abs(want)
+
+
 class TestSweep:
     @pytest.mark.parametrize("labels", (ALL_ONES, BRANCH_LABELS, HALF_MIX))
     def test_matches_scalar_double(self, labels):
@@ -305,13 +381,9 @@ class TestSweep:
             q = cmath.exp(1j * theta)
             ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
             want = amplitude_to_complex(evaluate(dcr, ctx), ctx)
-            # squares are branch-free, so compare those everywhere
+            # squares are branch-free; the signs must agree too
             assert abs(g * g - want * want) <= 1e-9 * (1 + abs(want) ** 2)
-            s = -want * want
-            on_cut = s.real > 0 and abs(s.imag) <= 1e-8 * abs(s)
-            if not on_cut:
-                # resolvably off the sqrt branch cut: signs must agree too
-                assert abs(g - want) <= 1e-9 * (1 + abs(want))
+            assert abs(g - want) <= 1e-9 * (1 + abs(want))
 
     def test_pole_marked_nan(self):
         # tj = 4 edges are level-inadmissible at h = 5: scalar projection
@@ -326,20 +398,35 @@ class TestSweep:
 
     def test_lattice_points_match_scalar(self):
         # a grid point on a root of unity inside the covered index range
-        # reroutes through the snapped table path: identical to evaluate()
+        # takes the same vanishing orders and limits as the scalar rule
         dcr = compile_sixj(ALL_ONES)
         assert dcr.d_max >= 5
         q = cmath.exp(1j * math.pi / 5)
         got = SweepEvaluator(dcr).amplitudes(np.array([q]))[0]
-        ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
-        want = amplitude_to_complex(evaluate(dcr, ctx), ctx)
-        assert complex(got) == complex(want)
+        want = mp_amplitude(ALL_ONES, 5)
+        assert abs(got - complex(want)) <= 1e-12 * (1 + abs(want))
         # lattice points beyond d_max need no reroute; plain kernel accuracy
         q = cmath.exp(1j * math.pi / (dcr.d_max + 3))
         got = SweepEvaluator(dcr).amplitudes(np.array([q]))[0]
         ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
         want = amplitude_to_complex(evaluate(dcr, ctx), ctx)
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+    def test_lattice_limit_in_surviving_ratio(self):
+        # at h = 5 the ratio [10]/[5] survives with both factors vanishing
+        # (order 0); the kernel takes its limit -2 as the scalar rule does
+        dcr = DCR(base=CycloMonomial(),
+                  ratios=(div(qint_monomial(10), qint_monomial(5)),
+                          qint_monomial(3)),
+                  root=qint_monomial(2), rad=qint_monomial(3),
+                  z_min=0, z_max=2, d_max=10)
+        got = SweepEvaluator(dcr).amplitudes(
+            np.array([cmath.exp(1j * math.pi / 5)]))[0]
+        ctx = root_of_unity_context(5, ComplexExtended(256), dcr.d_max)
+        want = complex(amplitude_to_complex(evaluate(dcr, ctx), ctx))
+        assert abs(got - want) <= 1e-12 * (1 + abs(want))
+        phi = (1 + math.sqrt(5)) / 2  # [2] = [3] at h = 5
+        assert abs(want - (1 - 2 - 2 * phi) * phi * math.sqrt(phi)) <= 1e-12
 
     def test_off_circle_points(self):
         dcr = compile_sixj(ALL_ONES)
