@@ -366,8 +366,8 @@ class SweepEvaluator:
     def amplitudes(self, qs):
         """Amplitude a * sqrt(r) for each q, as a complex array; the
         prefactor branch matches evaluate() (root * sqrt(rad) in the
-        right half plane).  NaN marks a pole and inf a value past double
-        range; nothing else is non-finite."""
+        right half plane).  On the unit circle NaN marks a pole and
+        nothing else, and inf a value past double range."""
         qs = np.asarray(qs, dtype=complex)
         R, F = self._nratios, self._F
         n = np.arange(1, self.d_max + 1)
@@ -399,13 +399,14 @@ class SweepEvaluator:
 
             # term j = base * ratios 1..j; only the ratios up to the first
             # one of positive order are projected, and the terms after it
-            # vanish
+            # vanish, as do all when the base, root or rad does
             ratio_order = order[:, 1:1 + R]
             first = np.hstack([ratio_order > 0,
                                np.ones((len(qs), 1), bool)]).argmax(axis=1)
             pole = (order[:, 0] < 0) | (order[:, R + 1:] < 0).any(axis=1) \
                 | ((ratio_order < 0) & (np.arange(R) < first[:, None])).any(axis=1)
-            live = (np.arange(R + 1) <= first[:, None]) & (order[:, :1] <= 0)
+            live = (np.arange(R + 1) <= first[:, None]) & (order[:, :1] <= 0) \
+                & (order[:, R + 1:] <= 0).all(axis=1, keepdims=True)
             zeros = np.zeros((len(qs), 1))
             cum_l = np.hstack([zeros, logs[:, 1:1 + R].cumsum(axis=1)])
             cum_t = np.hstack([zeros, turns[:, 1:1 + R].cumsum(axis=1)])

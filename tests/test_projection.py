@@ -428,6 +428,16 @@ class TestSweep:
         phi = (1 + math.sqrt(5)) / 2  # [2] = [3] at h = 5
         assert abs(want - (1 - 2 - 2 * phi) * phi * math.sqrt(phi)) <= 1e-12
 
+    def test_vanishing_prefactor_is_zero(self):
+        # a root of positive order at h = 5 zeroes the amplitude
+        dcr = DCR(base=CycloMonomial(), ratios=(qint_monomial(2),),
+                  root=qint_monomial(5), rad=CycloMonomial(),
+                  z_min=0, z_max=1, d_max=5)
+        q = cmath.exp(1j * math.pi / 5)
+        ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
+        assert amplitude_to_complex(evaluate(dcr, ctx), ctx) == 0
+        assert SweepEvaluator(dcr).amplitudes(np.array([q]))[0] == 0
+
     def test_off_circle_points(self):
         dcr = compile_sixj(ALL_ONES)
         qs = np.array([0.9 * cmath.exp(0.4j), 1.1 * cmath.exp(1.9j)])
