@@ -405,7 +405,7 @@ class TestSweep:
         got = SweepEvaluator(dcr).amplitudes(np.array([q]))[0]
         want = mp_amplitude(ALL_ONES, 5)
         assert abs(got - complex(want)) <= 1e-12 * (1 + abs(want))
-        # lattice points beyond d_max need no reroute; plain kernel accuracy
+        # a root of unity beyond d_max is a generic point for the kernel
         q = cmath.exp(1j * math.pi / (dcr.d_max + 3))
         got = SweepEvaluator(dcr).amplitudes(np.array([q]))[0]
         ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
