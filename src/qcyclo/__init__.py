@@ -19,9 +19,8 @@ from .projection import (AmplitudeValue, Classical, ClassicalValue,
                          ProjectionContext, ProjectionRangeError,
                          RootOfUnityExact, SweepEvaluator,
                          amplitude_to_complex, classical_project, evaluate,
-                         exact_field_eval, make_context,
-                         project_monomial, root_of_unity_context,
-                         unit_circle_q, vanishes_at)
+                         make_context, project_monomial,
+                         root_of_unity_context, unit_circle_q)
 from .statesum import (DCRCache, Triangulation, TVStats,
                        admissible_colorings, canonical_sixj,
                        load_triangulation, sixj_images,

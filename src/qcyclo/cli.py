@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, statesum
-from .compiler import (AdmissibilityError, SixJLabels, compile_count,
-                       compile_sixj, dcr_to_json)
+from .compiler import (AdmissibilityError, SixJLabels, compile_sixj,
+                       dcr_to_json)
 from .projection import (ComplexDouble, ComplexExtended, PoleError,
                          ProjectionRangeError, RootOfUnityExact,
                          SweepEvaluator, amplitude_to_complex, evaluate,
@@ -309,7 +309,6 @@ def _sweep_grid(cfg):
 
 
 def cmd_sweep(cfg):
-    c0 = compile_count()
     t0 = time.perf_counter()
     dcr = compile_sixj(SixJLabels(*cfg.spins))
     compile_s = time.perf_counter() - t0
@@ -347,13 +346,12 @@ def cmd_sweep(cfg):
                 rows.append((i, "%.12e" % q.real, "%.12e" % q.imag,
                              "", "", "ERROR", "%.3f" % (1e6 * dt)))
             proj_s += dt
-    compiles = compile_count() - c0
     header = ("idx", "q_re", "q_im", "amp_re", "amp_im", "status", "usec")
-    footer = ["compiles=%d points=%d compile_us=%.1f proj_us_per_point=%.3f"
-              % (compiles, len(qs), 1e6 * compile_s, 1e6 * proj_s / len(qs))]
+    footer = ["points=%d compile_us=%.1f proj_us_per_point=%.3f"
+              % (len(qs), 1e6 * compile_s, 1e6 * proj_s / len(qs))]
     if cfg.fmt == "json":
         obj = {"points": [dict(zip(header, r)) for r in rows],
-               "compiles": compiles, "compile_us": 1e6 * compile_s,
+               "compile_us": 1e6 * compile_s,
                "proj_us_per_point": 1e6 * proj_s / len(qs)}
         _emit(cfg, json.dumps(obj, indent=2) + "\n")
     elif cfg.fmt == "csv":
@@ -367,17 +365,13 @@ def _table_t3(bits):
     header = ("j", "k", "truth", "ref_truth", "dev_truth",
               "lse_f64", "ref_lse_f64", "dcr_f64")
     rows = []
+    h = T3_LEVEL + 2
     for j in T3_ROWS:
         labels = SixJLabels(*[2 * j] * 6)
-        h = T3_LEVEL + 2
-        dcr = compile_sixj(labels)
-        tag = ComplexExtended(bits)
-        ctx = make_context(tag, dcr.d_max, q=unit_circle_q(h, tag))
-        truth = float(amplitude_to_complex(evaluate(dcr, ctx), ctx).real)
+        truth = float(diagnostics.dcr_eval_sixj(
+            labels, h, ComplexExtended(bits)).real)
         lse = diagnostics.lse_eval_sixj(labels, h, "double")
-        tagd = ComplexDouble()
-        ctxd = make_context(tagd, dcr.d_max, q=unit_circle_q(h, tagd))
-        dcrf = amplitude_to_complex(evaluate(dcr, ctxd), ctxd).real
+        dcrf = diagnostics.dcr_eval_sixj(labels, h, ComplexDouble()).real
         ref = T3_TRUTH[j]
         rows.append((j, T3_LEVEL, "%+.4e" % truth, "%+.4e" % ref,
                      "%.1e" % (abs(truth - ref) / abs(ref)),

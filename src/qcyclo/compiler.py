@@ -3,7 +3,7 @@ cyclotomic representation (DCR).
 
 A series is described by affine factorial arguments with slopes in
 {-1, 0, +1}, an optional (-1)^z alternation, an integer quadratic phase,
-and a monomial radicand sitting under a global square root.  Compilation
+and a monomial radicand sitting under an overall square root.  Compilation
 produces the parameter-independent tuple
 
     DCR = (base, ratios, root, rad, z_min, z_max, d_max)
@@ -26,12 +26,6 @@ from dataclasses import dataclass
 
 from . import qfactor
 from .monomial import IDENTITY, CycloMonomial, div, mul, sqrt_split
-
-_compile_count = 0
-
-
-def compile_count():
-    return _compile_count
 
 
 class AdmissibilityError(ValueError):
@@ -167,7 +161,7 @@ def _triangle_radicand(ta, tb, tc):
 def series_from_sixj(desc):
     """Racah single-sum shape of the 6j: numerator [z+1]!, denominator
     [z-a_i]! and [b_y-z]!, alternating, with the four triangle radicands
-    composed into one monomial under the global square root."""
+    composed into one monomial under the overall square root."""
     tj = desc.labels.as_tuple()
     pre = IDENTITY
     for i, j, k in TRIADS:
@@ -241,7 +235,6 @@ def _qint_checked(n, z):
 def compile_series(desc):
     """Assemble the DCR: base summand at z_min, one exact ratio per step,
     and the square-root split of the prefactor radicand."""
-    global _compile_count
     rng = bounds(desc)
     if rng is None:
         raise ValueError("empty summation range: series is identically zero")
@@ -267,7 +260,6 @@ def compile_series(desc):
 
     d_max = max([base.max_index()] + [r.max_index() for r in ratios]
                 + [root.max_index(), rad.max_index()])
-    _compile_count += 1
     return DCR(base=base, ratios=ratios, root=root, rad=rad,
                z_min=z_min, z_max=z_max, d_max=d_max)
 

@@ -3,10 +3,12 @@
 The baseline evaluates the 6j the pre-compilation way: precomputed
 logarithmic quantum-integer tables, cumulative log-factorials, and a
 signed log-sum-exp over z where each summand is formed by the single
-floating-point subtraction log T_z = log N_z - log D_z.  The exact
-grouping of those log-domain operations is fixed (see lse_eval_sixj);
-at the catastrophic-cancellation edge the output is a roundoff
-realization, so the grouping is part of the baseline's definition.
+floating-point subtraction log T_z = log N_z - log D_z.  One walker,
+_term_logs, forms those term logs for the double and mpmath baselines
+and for the diagnostics alike.  The exact grouping of its log-domain
+operations is fixed: at the catastrophic-cancellation edge the output
+is a roundoff realization, so the grouping is part of the baseline's
+definition.
 
 Diagnostics quantify the cancellation: kappa = sum|T_z| / |S| (decimal
 digits lost), delta_loss = log10(max|T_z| / |S|), and the dynamic-range
@@ -16,11 +18,14 @@ amplification gamma of a representation:
 
 with N_z, D_z the unreduced numerator/denominator of the z-th summand.
 For the eager representation these are the raw quantum-factorial
-products of the series part (the triangle prefactor is a global factor
+products of the series part (the triangle prefactor is an overall factor
 and drops out of the max); for the DCR they are the positive- and
 negative-exponent parts of the cumulative reduced monomials that the
-projection loop actually touches.  T_z here includes the global
+projection loop actually touches.  T_z here includes the overall
 prefactor, so |S| is the full amplitude.
+
+identity_checks reads its 6j amplitudes and quantum integers from a
+statesum.SixJTable, the amplitude table the state sum uses.
 """
 
 import math
@@ -28,110 +33,92 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from . import compiler, projection, qfactor
-from .compiler import SixJLabels, compile_sixj, sixj_descriptor
+from . import compiler, projection
+from .compiler import compile_sixj, sixj_descriptor
 from .monomial import CycloMonomial
-from .statesum import canonical_sixj
+from .statesum import SixJTable
 
 
-def log_qint_table(h, n_max):
-    """log([n]_q) = log sin(n pi/h) - log sin(pi/h) for n = 1..n_max,
-    plus cumulative log-factorial prefix sums, in double precision.
-    Index 0 holds log([0]) = 0 by convention ([0]! = 1)."""
+def _log_tables(h, n_max, log_sin, zero):
+    """log [n] = log sin(n pi/h) - log sin(pi/h) and log [n]! for
+    n = 0..n_max, with log [0] = log [0]! = 0 ([0]! = 1).  This is the
+    one range guard of the eager path: it refuses h < 3 and any [n]
+    that vanishes at h."""
     if h < 3:
         raise ValueError("root order h must be >= 3, got %d" % h)
     if n_max >= h:
-        raise ValueError("quantum integer [%d] vanishes at h=%d" % (n_max, h))
-    ls1 = math.log(math.sin(math.pi / h))
-    logq = [0.0] * (n_max + 1)
+        raise ValueError("quantum factorial [%d]! vanishes at h=%d; "
+                         "labels exceed the level" % (n_max, h))
+    ls1 = log_sin(1)
+    logq, lfact = [zero], [zero]
     for n in range(1, n_max + 1):
-        logq[n] = math.log(math.sin(n * math.pi / h)) - ls1
-    lfact = [0.0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        lfact[n] = lfact[n - 1] + logq[n]
+        logq.append(log_sin(n) - ls1)
+        lfact.append(lfact[-1] + logq[-1])
     return logq, lfact
 
 
-def _log_qint_table_mp(h, n_max):
-    # same tables under the ambient mpmath precision
-    ls1 = mp.log(mp.sinpi(mpf(1) / h))
-    logq = [mpf(0)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        logq[n] = mp.log(mp.sinpi(mpf(n) / h)) - ls1
-    lfact = [mpf(0)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        lfact[n] = lfact[n - 1] + logq[n]
-    return logq, lfact
+def _log_sin_double(h):
+    return lambda n: math.log(math.sin(n * math.pi / h))
 
 
-def _sixj_arrays(labels):
+def _log_sin_mp(h):
+    return lambda n: mp.log(mp.sinpi(mpf(n) / h))
+
+
+def log_qint_table(h, n_max):
+    """(log [n]_q, log [n]_q!) for n = 0..n_max in double precision."""
+    return _log_tables(h, n_max, _log_sin_double(h), 0.0)
+
+
+def _term_logs(labels, h, log_sin, zero):
+    """Yield (z, log T_z, log N_z + log D_z) over the 6j sum at
+    q = e^{i pi/h}, in ascending z.
+
+    The operation order is the baseline's definition: the triangle
+    prefactor log is folded into each term, the denominator logs are
+    accumulated (a-arguments then b-arguments) and subtracted once.
+    """
     desc = sixj_descriptor(labels)
     z_min, z_max = max(desc.a), min(desc.b)
-    return desc, z_min, z_max
+    _, lf = _log_tables(h, z_max + 1, log_sin, zero)
+    tj = labels.as_tuple()
+    lpre = zero
+    for i, j, k in compiler.TRIADS:
+        ta, tb, tc = tj[i], tj[j], tj[k]
+        lpre += (lf[(ta + tb - tc) // 2] + lf[(ta - tb + tc) // 2]
+                 + lf[(-ta + tb + tc) // 2] - lf[(ta + tb + tc) // 2 + 1]) / 2
+    for z in range(z_min, z_max + 1):
+        lden = zero
+        for ai in desc.a:
+            lden += lf[z - ai]
+        for by in desc.b:
+            lden += lf[by - z]
+        yield z, lpre + lf[z + 1] - lden, lf[z + 1] + lden
 
 
 def lse_eval_sixj(labels, h, precision="double"):
     """Signed log-sum-exp evaluation of the 6j at q = e^{i pi/h}.
 
-    precision is "double" or an integer bit count.  The double path fixes
-    one specific operation order: the prefactor log is folded into each
-    term, the denominator logs are accumulated (a-arguments then
-    b-arguments) and subtracted once, and the max-shifted signed
-    accumulation runs in ascending z.
+    precision is "double" or an integer bit count.  Terms come from
+    _term_logs; the double path then runs the max-shifted signed
+    accumulation in ascending z, the mpmath path sums exp(log T_z)
+    directly.  Labels whose sum reaches a vanishing [n] at h raise
+    ValueError in both.
     """
-    desc, z_min, z_max = _sixj_arrays(labels)
     if precision == "double":
-        return _lse_double(desc, h, z_min, z_max)
+        terms = [(z, lt) for z, lt, _ in
+                 _term_logs(labels, h, _log_sin_double(h), 0.0)]
+        m = max(lt for _, lt in terms)
+        acc = 0.0
+        for z, lt in terms:
+            acc += (-1.0 if z % 2 else 1.0) * math.exp(lt - m)
+        return math.exp(m) * acc
     with mp.workprec(int(precision)):
-        return _lse_mp(desc, h, z_min, z_max)
-
-
-def _lse_double(desc, h, z_min, z_max):
-    if z_max + 1 >= h:
-        raise ValueError("summand factorial [%d]! vanishes at h=%d; "
-                         "labels exceed the level" % (z_max + 1, h))
-    _, lf = log_qint_table(h, z_max + 1)
-    tj = desc.labels.as_tuple()
-    lpre = 0.0
-    for i, j, k in compiler.TRIADS:
-        ta, tb, tc = tj[i], tj[j], tj[k]
-        lpre += 0.5 * (lf[(ta + tb - tc) // 2] + lf[(ta - tb + tc) // 2]
-                       + lf[(-ta + tb + tc) // 2] - lf[(ta + tb + tc) // 2 + 1])
-    logs, signs = [], []
-    for z in range(z_min, z_max + 1):
-        lnum = lf[z + 1]
-        lden = 0.0
-        for ai in desc.a:
-            lden += lf[z - ai]
-        for by in desc.b:
-            lden += lf[by - z]
-        logs.append(lpre + lnum - lden)
-        signs.append(1.0 if z % 2 == 0 else -1.0)
-    m = max(logs)
-    acc = 0.0
-    for lt, s in zip(logs, signs):
-        acc += s * math.exp(lt - m)
-    return math.exp(m) * acc
-
-
-def _lse_mp(desc, h, z_min, z_max):
-    _, lf = _log_qint_table_mp(h, z_max + 1)
-    tj = desc.labels.as_tuple()
-    lpre = mpf(0)
-    for i, j, k in compiler.TRIADS:
-        ta, tb, tc = tj[i], tj[j], tj[k]
-        lpre += (lf[(ta + tb - tc) // 2] + lf[(ta - tb + tc) // 2]
-                 + lf[(-ta + tb + tc) // 2] - lf[(ta + tb + tc) // 2 + 1]) / 2
-    acc = mpf(0)
-    for z in range(z_min, z_max + 1):
-        lden = mpf(0)
-        for ai in desc.a:
-            lden += lf[z - ai]
-        for by in desc.b:
-            lden += lf[by - z]
-        t = mp.exp(lpre + lf[z + 1] - lden)
-        acc += -t if z % 2 else t
-    return acc
+        acc = mpf(0)
+        for z, lt, _ in _term_logs(labels, h, _log_sin_mp(h), mpf(0)):
+            t = mp.exp(lt)
+            acc += -t if z % 2 else t
+        return acc
 
 
 @dataclass(frozen=True)
@@ -154,31 +141,18 @@ def diagnostics_sixj(labels, h, bits=512):
     over the cumulative reduced monomials of the compiled DCR, weighted
     by log10|Phi_d(q^2)| (the unit-circle q-power contributes nothing).
     """
-    desc, z_min, z_max = _sixj_arrays(labels)
-    tj = desc.labels.as_tuple()
     with mp.workprec(bits):
-        _, lf = _log_qint_table_mp(h, z_max + 1)
-        lpre = mpf(0)
-        for i, j, k in compiler.TRIADS:
-            ta, tb, tc = tj[i], tj[j], tj[k]
-            lpre += (lf[(ta + tb - tc) // 2] + lf[(ta - tb + tc) // 2]
-                     + lf[(-ta + tb + tc) // 2] - lf[(ta + tb + tc) // 2 + 1]) / 2
         value = mpf(0)
         abs_sum = mpf(0)
         max_term = mpf(0)
         ge = mpf("-inf")
         log10e = mp.log10(mp.e)
-        for z in range(z_min, z_max + 1):
-            lden = mpf(0)
-            for ai in desc.a:
-                lden += lf[z - ai]
-            for by in desc.b:
-                lden += lf[by - z]
-            t = mp.exp(lpre + lf[z + 1] - lden)
+        for z, lt, lnd in _term_logs(labels, h, _log_sin_mp(h), mpf(0)):
+            t = mp.exp(lt)
             value += -t if z % 2 else t
             abs_sum += t
             max_term = max(max_term, t)
-            ge = max(ge, (lf[z + 1] + lden) * log10e)
+            ge = max(ge, lnd * log10e)
         kappa = abs_sum / abs(value)
         delta = mp.log10(max_term / abs(value))
     gd = _gamma_dcr(labels, h, bits=min(bits, 256))
@@ -225,33 +199,6 @@ def dcr_eval_sixj(labels, h, tag):
     return projection.amplitude_to_complex(projection.evaluate(dcr, ctx), ctx)
 
 
-class _SixJTable:
-    """Cache of 6j amplitudes at one root-of-unity context, keyed by the
-    canonical representative under the 24 tetrahedral symmetries."""
-
-    def __init__(self, h, bits):
-        self.h = h
-        self.k = h - 2
-        self.tag = projection.ComplexExtended(bits)
-        # largest factorial argument is b_max + 1 <= 2k + 1
-        self.ctx = projection.root_of_unity_context(
-            h, self.tag, d_max=2 * self.k + 2)
-        self._vals = {}
-
-    def qint(self, n):
-        return projection.project_monomial(qfactor.qint_monomial(n), self.ctx)
-
-    def sixj(self, tjs):
-        key = canonical_sixj(tjs)
-        v = self._vals.get(key)
-        if v is None:
-            dcr = compile_sixj(SixJLabels(*key))
-            v = projection.amplitude_to_complex(
-                projection.evaluate(dcr, self.ctx), self.ctx)
-            self._vals[key] = v
-        return v
-
-
 def _x_terms(pairs, k):
     """Interior summation labels x for given coupled pairs.
 
@@ -285,19 +232,19 @@ def identity_checks(kind, max_tj, h, bits=256):
     (see _x_terms); within the truncated theory both identities close
     to arithmetic precision.
     """
-    table = _SixJTable(h, bits)
-    k = table.k
+    k = h - 2
+    table = SixJTable(projection.root_of_unity_context(
+        h, projection.ComplexExtended(bits), d_max=2 * k + 2))
     cap = min(max_tj, k)
     with mp.workprec(bits):
         if kind == "orthogonality":
-            return _orthogonality_residual(table, cap)
+            return _orthogonality_residual(table, k, cap)
         if kind == "pentagon":
-            return _pentagon_residual(table, cap)
+            return _pentagon_residual(table, k, cap)
     raise ValueError("unknown identity kind %r" % (kind,))
 
 
-def _orthogonality_residual(table, cap):
-    k = table.k
+def _orthogonality_residual(table, k, cap):
     worst = mpf(0)
     rng = range(cap + 1)
     for a in rng:
@@ -324,8 +271,7 @@ def _orthogonality_residual(table, cap):
     return float(worst)
 
 
-def _pentagon_residual(table, cap):
-    k = table.k
+def _pentagon_residual(table, k, cap):
     worst = mpf(0)
     rng = range(cap + 1)
     for a in rng:

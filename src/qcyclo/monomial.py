@@ -20,19 +20,6 @@ from dataclasses import dataclass
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-# entrywise adds/subtracts performed by merge(); tests assert the
-# union-of-supports cost bound against this
-_entry_ops = 0
-
-
-def entry_ops():
-    return _entry_ops
-
-
-def reset_entry_ops():
-    global _entry_ops
-    _entry_ops = 0
-
 
 def _check64(v, what):
     if v < _I64_MIN or v > _I64_MAX:
@@ -77,10 +64,8 @@ class ExponentVector:
 
     def merge(self, other, scale):
         """Return self + scale*other as a new vector (scale = +1, -1, or any int)."""
-        global _entry_ops
         e = dict(self._e)
         for d, v in other._e.items():
-            _entry_ops += 1
             w = e.get(d, 0) + _check64(scale * v, "exponent e_%d" % d)
             _check64(w, "exponent e_%d" % d)
             if w == 0:

@@ -208,10 +208,6 @@ def root_of_unity_context(h, tag, d_max):
     return make_context(tag, d_max, q=unit_circle_q(h, tag))
 
 
-def vanishes_at(m, h):
-    return m.exps.get(h) > 0
-
-
 def project_monomial(m, ctx):
     if isinstance(ctx.tag, ComplexExtended):
         with mp.workprec(ctx.tag.bits):
@@ -317,11 +313,6 @@ def classical_project(dcr):
     ctx = make_context(Classical(), dcr.d_max)
     out = evaluate(dcr, ctx)
     return ClassicalValue(a=out.a, r=out.r)
-
-
-def exact_field_eval(dcr, h):
-    ctx = make_context(RootOfUnityExact(h), dcr.d_max)
-    return evaluate(dcr, ctx)
 
 
 def _turn(t):

@@ -8,10 +8,13 @@ the edge order (AB, AC, BC, CD, BD, AD).
 
 The partition sum ranges over level-admissible colorings of the
 interior edges.  Each tetrahedron contributes its 6j amplitude at
-h = k + 2; congruent tetrahedra (same labels up to the 24 tetrahedral
-symmetries) share one compiled DCR through DCRCache, so compilation
-cost scales with the number of distinct congruence classes rather than
-the number of terms.
+h = k + 2, read from a SixJTable: congruent tetrahedra (same labels up
+to the 24 tetrahedral symmetries) share one canonical key, which the
+table's DCRCache compiles once and its value memo projects once per
+context.  Compilation cost thus scales with the number of distinct
+congruence classes rather than the number of terms, and a DCRCache
+shared across levels compiles nothing twice.  diagnostics.identity_checks
+reads its amplitudes from a SixJTable too.
 """
 
 import itertools
@@ -134,6 +137,34 @@ class DCRCache:
         return dcr
 
 
+class SixJTable:
+    """6j amplitudes and quantum integers projected at one context.
+
+    Amplitudes are memoized by canonical key, their DCRs come from
+    `cache` (a fresh DCRCache when None), and `reuses` counts the memo
+    hits."""
+
+    def __init__(self, ctx, cache=None):
+        self.ctx = ctx
+        self.cache = DCRCache() if cache is None else cache
+        self.values = {}
+        self.reuses = 0
+
+    def qint(self, n):
+        return projection.project_monomial(qint_monomial(n), self.ctx)
+
+    def sixj(self, tjs):
+        key = canonical_sixj(tuple(tjs))
+        v = self.values.get(key)
+        if v is None:
+            v = projection.amplitude_to_complex(
+                projection.evaluate(self.cache.get(key), self.ctx), self.ctx)
+            self.values[key] = v
+        else:
+            self.reuses += 1
+        return v
+
+
 def _tet_triads(tri):
     """(edge names per triad) for every face of every tetrahedron."""
     triads = []
@@ -209,35 +240,24 @@ def tv_partition(tri, k, bits=None, weights=True, cache=None):
     h = k + 2
     tag = projection.ComplexDouble() if bits is None \
         else projection.ComplexExtended(int(bits))
-    ctx = projection.root_of_unity_context(h, tag, d_max=2 * k + 2)
-    if cache is None:
-        cache = DCRCache()
-    qdim = [projection.project_monomial(qint_monomial(tj + 1), ctx)
-            for tj in range(k + 1)]
+    table = SixJTable(
+        projection.root_of_unity_context(h, tag, d_max=2 * k + 2), cache)
+    qdim = [table.qint(tj + 1) for tj in range(k + 1)]
     norm = sum(w * w for w in qdim) ** (-tri.num_vertices)
-    stats = TVStats()
-    values = {}
+    colorings = 0
     total = 0
     for coloring in admissible_colorings(tri, k):
-        stats.num_colorings += 1
+        colorings += 1
         term = 1
         if weights:
             for e in tri.edges:
                 term = term * qdim[coloring[e]]
         for tet in tri.tetrahedra:
-            tjs = tuple(coloring[e] for e in tet)
-            key = canonical_sixj(tjs)
-            v = values.get(key)
-            if v is None:
-                dcr = cache.get(tjs)
-                v = projection.amplitude_to_complex(
-                    projection.evaluate(dcr, ctx), ctx)
-                values[key] = v
-            else:
-                stats.value_reuses += 1
-            term = term * v
+            term = term * table.sixj(coloring[e] for e in tet)
         total = total + term
-    stats.cache_hits = cache.hits
-    stats.cache_misses = cache.misses
-    stats.distinct_classes = len(values)
+    stats = TVStats(num_colorings=colorings,
+                    cache_hits=table.cache.hits,
+                    cache_misses=table.cache.misses,
+                    distinct_classes=len(table.values),
+                    value_reuses=table.reuses)
     return total * norm, stats

@@ -123,3 +123,17 @@ def all_admissible_sixj(max_tj, level=None):
 @pytest.fixture(scope="session")
 def small_admissible():
     return all_admissible_sixj(6)
+
+
+def count_compiles(monkeypatch, module):
+    """Wrap module.compile_sixj for one test; the returned list collects
+    the labels of every compile made through it."""
+    compiled = []
+    real = module.compile_sixj
+
+    def counting(labels):
+        compiled.append(labels)
+        return real(labels)
+
+    monkeypatch.setattr(module, "compile_sixj", counting)
+    return compiled

@@ -6,10 +6,11 @@ import math
 
 import pytest
 
+from qcyclo import cli
 from qcyclo.cli import T3_TRUTH, main
 from qcyclo.compiler import SixJLabels, compile_sixj, dcr_from_json
 
-from conftest import racah_sixj_squared
+from conftest import count_compiles, racah_sixj_squared
 
 DATA = importlib.resources.files("qcyclo") / "data"
 
@@ -85,6 +86,14 @@ class TestEval:
         assert code == 2
         assert "inadmissible input" in err
 
+    @pytest.mark.parametrize("engine", ("lse-f64", "lse-mp"))
+    def test_lse_past_level_exit_1(self, capsys, engine):
+        # the eager sum reaches [5]!, and its factor [4] vanishes at h = 4
+        code, out, err = run(capsys, "eval", "--spins", "2,2,2,2,2,2",
+                             "--level", "2", "--engine", engine)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "internal error" in err
+
     def test_pole_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--spins", "4,4,4,4,4,4",
                            "--level", "2")
@@ -143,14 +152,15 @@ class TestSweep:
         assert abs(sweep_val - complex(want["re"], want["im"])) \
             <= 1e-9 * (1 + abs(sweep_val))
 
-    def test_compiles_once_footer(self, capsys):
+    def test_compiles_once_footer(self, capsys, monkeypatch):
+        compiled = count_compiles(monkeypatch, cli)
         code, out, _ = run(capsys, "sweep", "--spins", "2,2,2,2,2,2",
                            "--start", "0.3", "--stop", "1.2", "--count", "8",
                            "--format", "csv")
         assert code == 0
+        assert len(compiled) == 1
         footer = [l for l in out.splitlines() if l.startswith("#")]
         assert len(footer) == 1
-        assert "compiles=1" in footer[0]
         assert "points=8" in footer[0]
         assert float(footer[0].split("proj_us_per_point=")[1]) > 0
 
@@ -190,6 +200,13 @@ class TestDiag:
             assert key in obj
         assert obj["kappa"] >= 1.0
         assert obj["gamma_dcr"] <= obj["gamma_eager"]
+
+
+    def test_past_level_exit_1(self, capsys):
+        code, out, err = run(capsys, "diag", "--spins", "2,2,2,2,2,2",
+                             "--level", "2")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "internal error" in err
 
 
 class TestTable:

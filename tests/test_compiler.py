@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcyclo.compiler import (AdmissibilityError, AffineForm, SixJLabels,
-                             bounds, compile_count, compile_sixj, dcr_from_json, dcr_to_json,
+                             bounds, compile_sixj, dcr_from_json, dcr_to_json,
                              ratio_monomial, series_from_sixj,
                              sixj_descriptor, triangle_admissible)
 from qcyclo.monomial import div, mul
@@ -119,11 +119,6 @@ class TestCompile:
     def test_symmetric_ratio_count(self):
         dcr = compile_sixj(SixJLabels(*[100] * 6))
         assert len(dcr.ratios) == 50
-
-    def test_compile_counter(self):
-        c0 = compile_count()
-        compile_sixj(ALL_ONES)
-        assert compile_count() == c0 + 1
 
     @given(sixj_strategy())
     def test_num_terms(self, tjs):

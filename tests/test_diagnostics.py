@@ -41,10 +41,16 @@ class TestLseEval:
         hi = lse_eval_sixj(labels, 8, precision=192)
         assert abs(lo - float(hi)) <= 1e-11 * abs(float(hi))
 
-    def test_range_guard(self):
-        # sum reaches [z_max + 1] = [5], which vanishes at h = 4
+    @pytest.mark.parametrize("run", (
+        lambda labels, h: lse_eval_sixj(labels, h),
+        lambda labels, h: lse_eval_sixj(labels, h, precision=192),
+        lambda labels, h: diagnostics_sixj(labels, h)),
+        ids=("double", "mp192", "diagnostics"))
+    def test_range_guard(self, run):
+        # the sum reaches [z_max + 1]! = [5]!, and its factor [4] vanishes
+        # at h = 4
         with pytest.raises(ValueError):
-            lse_eval_sixj(SixJLabels(2, 2, 2, 2, 2, 2), 4)
+            run(SixJLabels(2, 2, 2, 2, 2, 2), 4)
 
     @pytest.mark.parametrize("j", (30, 50))
     def test_published_double_column(self, j):

@@ -16,9 +16,8 @@ from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
                                PoleError, ProjectionRangeError,
                                RootOfUnityExact, SweepEvaluator,
                                amplitude_to_complex, classical_project,
-                               evaluate, exact_field_eval, make_context,
-                               project_monomial, root_of_unity_context,
-                               unit_circle_q, vanishes_at)
+                               evaluate, make_context, project_monomial,
+                               root_of_unity_context, unit_circle_q)
 from qcyclo.qfactor import qint_monomial
 
 from conftest import qracah_sixj_mp, racah_sixj_squared
@@ -215,11 +214,6 @@ class TestProjectMonomial:
         with pytest.raises(ValueError):
             project_monomial(CycloMonomial(1, 0, {8: 1}), ctx)
 
-    def test_vanishes_at_helper(self):
-        assert vanishes_at(CycloMonomial(1, 0, {5: 1}), 5)
-        assert not vanishes_at(CycloMonomial(1, 0, {5: -1}), 5)
-        assert not vanishes_at(CycloMonomial(1, 0, {4: 1}), 5)
-
 
 def manual_series_amplitude(dcr, ctx, bits):
     """Oracle: project every term monomial separately, no early exit."""
@@ -302,9 +296,9 @@ class TestAmplitude:
                                           (HALF_MIX, 9)))
     def test_exact_square_identity(self, labels, h):
         dcr = compile_sixj(labels)
-        out = exact_field_eval(dcr, h)
-        square = out.a * out.a * out.r  # exact in the field
         ctx = make_context(RootOfUnityExact(h), dcr.d_max)
+        out = evaluate(dcr, ctx)
+        square = out.a * out.a * out.r  # exact in the field
         amp = amplitude_to_complex(out, ctx, bits=256)
         with mp.workprec(256):
             want = square.embed(256)
@@ -314,7 +308,7 @@ class TestAmplitude:
     def test_exact_matches_extended(self, labels, h):
         dcr = compile_sixj(labels)
         ctx = make_context(RootOfUnityExact(h), dcr.d_max)
-        exact_amp = amplitude_to_complex(exact_field_eval(dcr, h), ctx, 256)
+        exact_amp = amplitude_to_complex(evaluate(dcr, ctx), ctx, 256)
         got = mp_amplitude(labels, h)
         with mp.workprec(256):
             assert abs(exact_amp - got) <= mpf(10) ** -60 * (1 + abs(got))

@@ -6,8 +6,8 @@ import importlib.resources
 import pytest
 from mpmath import mp
 
-from qcyclo.compiler import SixJLabels, compile_count, compile_sixj, \
-    triangle_admissible
+from qcyclo import statesum
+from qcyclo.compiler import SixJLabels, compile_sixj, triangle_admissible
 from qcyclo.diagnostics import dcr_eval_sixj
 from qcyclo.projection import (ComplexDouble, ComplexExtended,
                                amplitude_to_complex, evaluate,
@@ -16,6 +16,8 @@ from qcyclo.qfactor import qint_monomial
 from qcyclo.statesum import (DCRCache, Triangulation, admissible_colorings,
                              canonical_sixj, load_triangulation, sixj_images,
                              triangulation_from_json, tv_partition)
+
+from conftest import count_compiles
 
 DATA = importlib.resources.files("qcyclo") / "data"
 
@@ -230,13 +232,13 @@ class TestPartitionSum:
         assert s2.cache_misses == s1.cache_misses  # all warm on the second run
         assert s2.cache_hits > s1.cache_hits
 
-    def test_amortization_congruent_tets(self):
+    def test_amortization_congruent_tets(self, monkeypatch):
+        compiled = count_compiles(monkeypatch, statesum)
         tri = load_triangulation(str(DATA / "ball_4tet.json"))
         k = 5
         cache = DCRCache()
-        c0 = compile_count()
         _, stats = tv_partition(tri, k, cache=cache)
-        compiles = compile_count() - c0
+        compiles = len(compiled)
         # four congruent tetrahedra per coloring, one compile per class;
         # the per-run value memo absorbs every repeat within the run
         assert stats.num_colorings >= 2
@@ -246,9 +248,8 @@ class TestPartitionSum:
                 == 4 * stats.num_colorings)
         assert stats.cache_misses < 4 * stats.num_colorings
         # rerunning against the warm cache compiles nothing
-        c1 = compile_count()
         _, again = tv_partition(tri, k, cache=cache)
-        assert compile_count() == c1
+        assert len(compiled) == compiles
         assert again.cache_misses == stats.cache_misses
         assert again.cache_hits == stats.distinct_classes
 
