@@ -16,6 +16,11 @@ exact zero, a negative one raises PoleError, and at order zero each
 vanishing s_n takes its limit (-1)^{an/h} n.  The classical limit is the
 case a = 0, h = 1.  lattice_order decides when a numeric q is such a root.
 
+In double the unit-circle table is math.sin(n theta).  In extended
+precision it is Im x^n for the unit x = q/|q|, or x = e^{i pi a/h} at a
+root of unity, by one running product carried with guard bits and
+rounded once per entry, so every entry is within an ulp of its sine.
+
 Evaluating a DCR walks the ratio chain, stopping at the first ratio of
 positive order, and returns the amplitude as a pair (a, r) meaning
 a * sqrt(r).  For a 6j symbol every monomial folds to P' = 0, so on the
@@ -148,9 +153,28 @@ def _take_limits(s, a, h, one):
     return s
 
 
+def _guarded_sines(root, d_max):
+    """[None, Im x, ..., Im x^d_max] for the unit x = root(), in mpmath.
+
+    x is formed, and its powers carried by the running product
+    x^n = x^{n-1} x, with 2 log2(d_max) + 10 guard bits, so the n ulps
+    the product drifts stay below the working precision; each entry is
+    then rounded once, to within an ulp of sin(n arg x)."""
+    with mp.extraprec(2 * d_max.bit_length() + 10):
+        x, xn, ims = root(), 1, []
+        for _ in range(d_max):
+            xn = xn * x
+            ims.append(xn.imag)
+    return [None] + [+v for v in ims]
+
+
 def _numeric_table(q, d_max, u, one):
     """(q, s, h): q moved onto the unit circle, or onto the root of unity
-    e^{i pi a/h} it lies on to roundoff, the table s, and h or None."""
+    e^{i pi a/h} it lies on to roundoff, the table s, and h or None.
+
+    On the circle s_n = sin(n theta), formed by math.sin in double and by
+    _guarded_sines of q/|q| in mpmath; at e^{i pi a/h} the table is
+    formed again from the exact angle pi a/h."""
     if not _on_circle(q, u):
         s, qn = [None], one
         for _ in range(d_max):
@@ -158,17 +182,24 @@ def _numeric_table(q, d_max, u, one):
             s.append(qn - 1 / qn)
         return q, s, None
     extended = isinstance(one, mpf)
-    sin, pi, arg = ((mp.sin, mp.pi, mp.arg) if extended
-                    else (math.sin, math.pi, cmath.phase))
-    theta = arg(q)
-    s = [None] + [sin(n * theta) for n in range(1, d_max + 1)]
+    # a double angle serves the extended table too: it only rounds h theta/pi
+    theta = cmath.phase(complex(q))
+    if extended:
+        s = _guarded_sines(lambda: q / abs(q), d_max)
+    else:
+        s = [None] + [math.sin(n * theta) for n in range(1, d_max + 1)]
     h = int(lattice_order(s[1:], u))
     if not h:
         return q / abs(q), s, None
-    a = round(h * float(theta) / math.pi)
-    # sin(pi a n / h), the argument reduced exactly
-    s = [None] + [sin(pi * (a * n % (2 * h)) / h) for n in range(1, d_max + 1)]
-    q = mp.expjpi(one * a / h) if extended else cmath.exp(1j * pi * a / h)
+    a = round(h * theta / math.pi)
+    if extended:
+        s = _guarded_sines(lambda: mp.expjpi(mpf(a) / h), d_max)
+        q = mp.expjpi(one * a / h)
+    else:
+        # sin(pi a n / h), the argument reduced exactly
+        s = [None] + [math.sin(math.pi * (a * n % (2 * h)) / h)
+                      for n in range(1, d_max + 1)]
+        q = cmath.exp(1j * math.pi * a / h)
     return q, _take_limits(s, a, h, one), h
 
 

@@ -178,6 +178,23 @@ class TestSweep:
         assert [r[5] for r in rows] == ["ERROR", "ok", "ok"]
         assert rows[0][3] == "" and float(rows[1][3]) != 0.0
 
+    def test_mp_grid_matches_double(self, capsys):
+        # dcr-mp builds one extended context per grid point
+        pts = {}
+        for engine in ("dcr-mp", "dcr-f64"):
+            code, out, _ = run(capsys, "sweep", "--spins", "4,6,8,6,4,6",
+                               "--start", "0.3", "--stop", "2.8", "--count",
+                               "40", "--engine", engine, "--format", "json")
+            assert code == 0
+            pts[engine] = json.loads(out)["points"]
+        assert [p["status"] for p in pts["dcr-mp"]] \
+            == [p["status"] for p in pts["dcr-f64"]]
+        for p, d in zip(pts["dcr-mp"], pts["dcr-f64"]):
+            if p["status"] == "ok":
+                want = complex(float(p["amp_re"]), float(p["amp_im"]))
+                got = complex(float(d["amp_re"]), float(d["amp_im"]))
+                assert abs(got - want) <= 1e-10 * abs(want)
+
     def test_real_axis_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--spins", "2,2,2,2,2,2",
                            "--start", "1.05", "--stop", "1.25", "--count",

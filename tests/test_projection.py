@@ -164,6 +164,43 @@ class TestContexts:
             make_context("bogus", 8)
 
 
+class TestExtendedSineTable:
+    """Every entry sin(n theta) of an extended context is within two units
+    of 2^-bits, relative, of the sine formed at 2 bits + 64 bits."""
+
+    @staticmethod
+    def assert_close(got, ref, bits):
+        assert abs(got - ref) <= mpf(2) ** (1 - bits) * abs(ref)
+
+    @pytest.mark.parametrize("bits", (128, 256, 2048))
+    @pytest.mark.parametrize("turn, d_max", ((lambda: mpf(1) / 502, 500),
+                                             (lambda: 1 / mp.pi, 700)),
+                             ids=("pi/502", "one-radian"))
+    def test_generic_point(self, bits, turn, d_max):
+        with mp.workprec(bits):
+            q = mp.expjpi(turn())
+        ctx = make_context(ComplexExtended(bits), d_max, q=q)
+        assert ctx.vanishing_index is None
+        with mp.workprec(2 * bits + 64):
+            theta = mp.arg(q)
+            for n in range(1, d_max + 1):
+                self.assert_close(ctx.s[n], mp.sin(n * theta), bits)
+
+    @pytest.mark.parametrize("bits", (128, 2048))
+    @pytest.mark.parametrize("h", (7, 11, 61))
+    def test_lattice_point(self, bits, h):
+        with mp.workprec(bits):
+            q = mp.expjpi(mpf(3) / h)
+        ctx = make_context(ComplexExtended(bits), 3 * h, q=q)
+        assert ctx.vanishing_index == h
+        with mp.workprec(2 * bits + 64):
+            for n in range(1, 3 * h + 1):
+                if n % h:
+                    self.assert_close(ctx.s[n], mp.sin(3 * mp.pi * n / h), bits)
+                else:
+                    assert ctx.s[n] == (-1) ** (3 * n // h) * n
+
+
 def monomials(max_d=9, avoid=(), max_e=3, max_p=12):
     idx = st.sampled_from([d for d in range(2, max_d + 1) if d not in avoid])
     entry = st.tuples(idx, st.integers(min_value=-max_e, max_value=max_e))
