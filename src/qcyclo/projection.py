@@ -17,9 +17,15 @@ vanishing s_n takes its limit (-1)^{an/h} n.  The classical limit is the
 case a = 0, h = 1.  lattice_order decides when a numeric q is such a root.
 
 In double the unit-circle table is math.sin(n theta).  In extended
-precision it is Im x^n for the unit x = q/|q|, or x = e^{i pi a/h} at a
-root of unity, by one running product carried with guard bits and
-rounded once per entry, so every entry is within an ulp of its sine.
+precision it follows from the unit x = q/|q|, or x = e^{i pi a/h} at a
+root of unity, by the Chebyshev recurrence s_{n+1} = 2 cos(theta) s_n -
+s_{n-1} on fixed-point integers carried with guard bits, and each entry
+is rounded once, so every entry is within an ulp of its sine.  The
+lattice test on such a table compares integer mantissas, exactly.
+
+A monomial's image multiplies the entries that share an exponent f and
+raises each group once, prod_f (prod_{F_n = f} s_n)^f, with one division;
+the identity holds in every ring, so all four arithmetics share it.
 
 Evaluating a DCR walks the ratio chain, stopping at the first ratio of
 positive order, and returns the amplitude as a pair (a, r) meaning
@@ -37,6 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import normalize, to_fixed
 
 from .cyclofield import CycloField, CycloNumber
 from .qfactor import fold
@@ -132,14 +139,35 @@ def lattice_order(sines, u):
     """Order h of the root of unity e^{i pi a/h} that q = e^{i theta} is,
     to the roundoff u of the precision q was given in, or 0.
 
-    sines[..., n - 1] = sin(n theta) for n = 1..n_max (floats or mpmath
-    numbers); leading axes are independent points.  The test is
-    |sin(n theta)| <= 64 n u, the roundoff of forming sin(n theta) from
-    a rounded q, and h is the first n that passes."""
+    sines[..., n - 1] = sin(n theta) for n = 1..n_max; leading axes of a
+    float array are independent points, and a list of mpf values is one
+    point.  The test is |sin(n theta)| <= 64 n u, the roundoff of forming
+    sin(n theta) from a rounded q, and h is the first n that passes.  On
+    mpf values it is decided exactly on their integer mantissas, so it
+    holds below double range too."""
+    if len(sines) and isinstance(sines[0], mpf):
+        return _lattice_order_mpf(sines, mpf(u)._mpf_)
     sines = np.asarray(sines)
     n = np.arange(1, sines.shape[-1] + 1)
     hit = np.asarray(abs(sines) <= 64 * n * u, dtype=bool)
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, 0)
+
+
+def _lattice_order_mpf(sines, u):
+    # |m| 2^e <= 64 n mu 2^eu, for s_n = m 2^e and u = mu 2^eu; an entry
+    # with 2^(e + bc - 1) > 64 n u (bit counts alone) is no hit
+    _, mu, eu, bcu = u
+    for n, v in enumerate(sines, 1):
+        _, m, e, bc = v._mpf_
+        if not m:
+            return n
+        shift = e - eu - 6
+        if shift + bc - 1 >= bcu + n.bit_length():
+            continue
+        if (m << shift <= n * mu if shift >= 0
+                else m <= (n * mu) << -shift):
+            return n
+    return 0
 
 
 def _on_circle(q, u):
@@ -153,28 +181,41 @@ def _take_limits(s, a, h, one):
     return s
 
 
-def _guarded_sines(root, d_max):
-    """[None, Im x, ..., Im x^d_max] for the unit x = root(), in mpmath.
+def _guarded_sines(root, d_max, sin_mag):
+    """[None, sin theta, ..., sin(d_max theta)] for the unit x = root() =
+    e^{i theta}, in mpmath at working precision; sin_mag is log2|sin theta|
+    rounded up, as mp.mag gives it.
 
-    x is formed, and its powers carried by the running product
-    x^n = x^{n-1} x, with 2 log2(d_max) + 10 guard bits, so the n ulps
-    the product drifts stay below the working precision; each entry is
-    then rounded once, to within an ulp of sin(n arg x)."""
-    with mp.extraprec(2 * d_max.bit_length() + 10):
-        x, xn, ims = root(), 1, []
-        for _ in range(d_max):
-            xn = xn * x
-            ims.append(xn.imag)
-    return [None] + [+v for v in ims]
+    x is formed with guard bits, and the entries follow from the Chebyshev
+    recurrence s_{n+1} = 2 cos(theta) s_n - s_{n-1} on fixed-point integer
+    mantissas, one big-int product each.  A rounding error made at step k
+    reaches entry n multiplied by sin((n - k) theta)/sin(theta), so the
+    guard is 2 log2(d_max) + 10 bits plus -log2|sin theta|; each entry is
+    then rounded once, to nearest, to within an ulp of sin(n theta)."""
+    prec = mp.prec
+    guard = 2 * d_max.bit_length() + 10 + max(0, -sin_mag)
+    wide = prec + guard
+    with mp.workprec(wide):
+        x = root()
+    two_cos = to_fixed(x.real._mpf_, wide + 1)
+    half = 1 << (wide - 1)
+    prev, cur, s = 0, to_fixed(x.imag._mpf_, wide), [None]
+    for _ in range(d_max):
+        m = abs(cur)
+        s.append(mp.make_mpf(normalize(int(cur < 0), m, -wide, m.bit_length(),
+                                       prec, "n")))
+        prev, cur = cur, ((two_cos * cur + half) >> wide) - prev
+    return s
 
 
 def _numeric_table(q, d_max, u, one):
     """(q, s, h): q moved onto the unit circle, or onto the root of unity
     e^{i pi a/h} it lies on to roundoff, the table s, and h or None.
 
-    On the circle s_n = sin(n theta), formed by math.sin in double and by
-    _guarded_sines of q/|q| in mpmath; at e^{i pi a/h} the table is
-    formed again from the exact angle pi a/h."""
+    On the circle s_n = sin(n theta), formed by math.sin in double and in
+    mpmath by _guarded_sines, the recurrence from x = q/|q|; lattice_order
+    then tests that table, and at e^{i pi a/h} the table is formed again
+    from the exact angle pi a/h."""
     if not _on_circle(q, u):
         s, qn = [None], one
         for _ in range(d_max):
@@ -185,7 +226,10 @@ def _numeric_table(q, d_max, u, one):
     # a double angle serves the extended table too: it only rounds h theta/pi
     theta = cmath.phase(complex(q))
     if extended:
-        s = _guarded_sines(lambda: q / abs(q), d_max)
+        # |q| is 1 to roundoff, so q.imag bounds sin(theta); an exact 0
+        # (q = +-1) is the lattice point h = 1, whose entries all vanish
+        sin_mag = mp.mag(q.imag) if q.imag else 0
+        s = _guarded_sines(lambda: q / abs(q), d_max, sin_mag)
     else:
         s = [None] + [math.sin(n * theta) for n in range(1, d_max + 1)]
     h = int(lattice_order(s[1:], u))
@@ -193,7 +237,7 @@ def _numeric_table(q, d_max, u, one):
         return q / abs(q), s, None
     a = round(h * theta / math.pi)
     if extended:
-        s = _guarded_sines(lambda: mp.expjpi(mpf(a) / h), d_max)
+        s = _guarded_sines(lambda: mp.expjpi(mpf(a) / h), d_max, sin_mag)
         q = mp.expjpi(one * a / h)
     else:
         # sin(pi a n / h), the argument reduced exactly
@@ -258,9 +302,18 @@ def _project(m, ctx):
         if order < 0:
             raise PoleError("inadmissible: pole at Phi_%d" % h)
     P, F = fold(m)
+    groups = {}
+    for n, f in F.items():
+        groups.setdefault(f, []).append(ctx.s[n])
     try:
-        out = (_product([ctx.s[n] ** f for n, f in F.items() if f > 0], ctx.one)
-               / _product([ctx.s[n] ** -f for n, f in F.items() if f < 0], ctx.one))
+        # prod_f (prod_{F_n = f} s_n)^f: one power per exponent, one division
+        num, den = [], []
+        for f, g in groups.items():
+            g = _product(g)
+            (num if f > 0 else den).append(g if abs(f) == 1 else g ** abs(f))
+        out = _product(num, ctx.one)
+        if den:
+            out = out / _product(den)
         if P:
             out = out * (ctx._field.q_power(P) if ctx._field else ctx.q ** P)
     except (OverflowError, ZeroDivisionError):
@@ -275,7 +328,7 @@ def _project(m, ctx):
     return -out if m.sigma < 0 else out
 
 
-def _product(factors, one):
+def _product(factors, one=None):
     return functools.reduce(operator.mul, factors) if factors else one
 
 

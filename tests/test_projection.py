@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,9 @@ from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
                                PoleError, ProjectionRangeError,
                                RootOfUnityExact, SweepEvaluator,
                                amplitude_to_complex, classical_project,
-                               evaluate, make_context, project_monomial,
-                               root_of_unity_context, unit_circle_q)
+                               evaluate, lattice_order, make_context,
+                               project_monomial, root_of_unity_context,
+                               unit_circle_q)
 from qcyclo.qfactor import qint_monomial
 
 from conftest import qracah_sixj_mp, racah_sixj_squared
@@ -173,12 +175,15 @@ class TestExtendedSineTable:
         assert abs(got - ref) <= mpf(2) ** (1 - bits) * abs(ref)
 
     @pytest.mark.parametrize("bits", (128, 256, 2048))
-    @pytest.mark.parametrize("turn, d_max", ((lambda: mpf(1) / 502, 500),
-                                             (lambda: 1 / mp.pi, 700)),
-                             ids=("pi/502", "one-radian"))
-    def test_generic_point(self, bits, turn, d_max):
+    @pytest.mark.parametrize("point, d_max",
+                             ((lambda: mp.expjpi(mpf(1) / 502), 500),
+                              (lambda: mp.expjpi(1 / mp.pi), 700),
+                              # |sin theta| = 2^-30 needs 30 more guard bits
+                              (lambda: mp.expj(mpf(2) ** -30), 500)),
+                             ids=("pi/502", "one-radian", "near-1"))
+    def test_generic_point(self, bits, point, d_max):
         with mp.workprec(bits):
-            q = mp.expjpi(turn())
+            q = point()
         ctx = make_context(ComplexExtended(bits), d_max, q=q)
         assert ctx.vanishing_index is None
         with mp.workprec(2 * bits + 64):
@@ -201,6 +206,47 @@ class TestExtendedSineTable:
                     assert ctx.s[n] == (-1) ** (3 * n // h) * n
 
 
+class TestLatticeOrder:
+    """On mpf values the test |s_n| <= 64 n u is exact, below double range
+    too, where float() would flush both sides to 0."""
+
+    U = mpf(2) ** -2048
+
+    @staticmethod
+    def exact(sines, u):
+        with mp.workprec(4096):
+            return next((n for n, v in enumerate(sines, 1)
+                         if abs(v) <= 64 * n * u), 0)
+
+    def test_below_double_range(self):
+        u, big = self.U, mpf(2) ** -1500
+        assert lattice_order([big] * 5, u) == 0
+        assert lattice_order([big, mpf(0), big], u) == 2
+        for n in range(1, 6):
+            with mp.workprec(2048):
+                edge = 64 * n * u
+                above = edge * (1 + mpf(2) ** -1000)
+                cases = ((edge, n), (-edge, n), (edge / 3, n),
+                         (above, 0), (-above, 0))
+            for v, hit in cases:
+                sines = [big] * 5
+                sines[n - 1] = v
+                assert lattice_order(sines, u) == hit == self.exact(sines, u)
+
+    @pytest.mark.parametrize("u", (mpf(2) ** -2048, mpf(2) ** -256,
+                                   2.0 ** -53, 3 * mpf(2) ** -2050),
+                             ids=("2048", "256", "double", "odd-mantissa"))
+    def test_matches_exact_comparison(self, u):
+        rng = random.Random(5)
+        with mp.workprec(2048):
+            bound = [64 * n * u for n in range(1, 41)]
+            for _ in range(200):
+                sines = [b * mpf(rng.uniform(-3, 3)) for b in bound]
+                sines = [v if rng.random() < 0.05 else v * 2 ** rng.randint(1, 900)
+                         for v in sines]
+                assert lattice_order(sines, u) == self.exact(sines, u)
+
+
 def monomials(max_d=9, avoid=(), max_e=3, max_p=12):
     idx = st.sampled_from([d for d in range(2, max_d + 1) if d not in avoid])
     entry = st.tuples(idx, st.integers(min_value=-max_e, max_value=max_e))
@@ -218,6 +264,16 @@ class TestProjectMonomial:
         lhs = project_monomial(mul(a, b), ctx)
         rhs = project_monomial(a, ctx) * project_monomial(b, ctx)
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
+
+    @given(monomials(), monomials())
+    def test_homomorphism_extended(self, a, b):
+        with mp.workprec(128):
+            q = mp.expj(mpf("0.81"))
+        ctx = make_context(ComplexExtended(128), 9, q=q)
+        lhs = project_monomial(mul(a, b), ctx)
+        with mp.workprec(128):
+            rhs = project_monomial(a, ctx) * project_monomial(b, ctx)
+            assert abs(lhs - rhs) <= mpf(2) ** -110 * abs(lhs)
 
     @given(monomials(avoid=(7,)), monomials(avoid=(7,)))
     def test_homomorphism_exact(self, a, b):
