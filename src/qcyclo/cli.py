@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,30 +43,6 @@ T1_REF = {50: (6.03e3, 2.19e-3, 6.4), 100: (2.96e10, 7.80e-4, 13.6)}
 T4_ROWS = ((10, 40), (50, 200), (100, 400), (200, 800))
 T4_LOG10_KAPPA = {10: 1.27, 50: 7.10, 100: 14.39, 200: 28.97}
 T4_GAMMA = {10: (61.1, 19.0), 50: (560.1, 104.5), 100: (1352.7, 212.5)}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    spins: tuple = None
-    level: int = None
-    engine: str = "dcr-mp"
-    bits: int = None
-    sweep_start: float = None
-    sweep_stop: float = None
-    sweep_count: int = None
-    unit_circle: bool = True
-    fmt: str = "text"
-    output: str = None
-    parts: bool = False
-    which: str = None
-    triangulation: str = None
-    weights: bool = True
-
-    def resolved_bits(self):
-        if self.bits is not None:
-            return self.bits
-        return {"dcr-mp": 256, "lse-mp": 256, "exact": 256}.get(self.engine)
 
 
 def _parse_spins(text):
@@ -147,40 +122,26 @@ def _build_parser():
     return top
 
 
-def _config_from_args(args):
-    cfg = RunConfig(
-        command=args.command,
-        spins=getattr(args, "spins", None),
-        level=getattr(args, "level", None),
-        engine=getattr(args, "engine", "dcr-mp"),
-        bits=getattr(args, "bits", None),
-        sweep_start=getattr(args, "start", None),
-        sweep_stop=getattr(args, "stop", None),
-        sweep_count=getattr(args, "count", None),
-        unit_circle=getattr(args, "unit_circle", True),
-        fmt=getattr(args, "fmt", "text"),
-        output=getattr(args, "output", None),
-        parts=getattr(args, "parts", False),
-        which=getattr(args, "which", None),
-        triangulation=getattr(args, "triangulation", None),
-        weights=getattr(args, "weights", True),
-    )
-    if cfg.command in ("eval", "sweep") and cfg.bits is not None \
-            and cfg.engine not in _MP_ENGINES:
-        raise ConfigError("--bits only applies to engines %s"
-                          % ", ".join(_MP_ENGINES))
-    if cfg.command == "sweep" and cfg.sweep_count < 1:
+def _check_args(args):
+    """Reject the option mixes argparse cannot, and resolve --bits for the
+    engines that take it."""
+    if args.command in ("eval", "sweep"):
+        if args.bits is not None and args.engine not in _MP_ENGINES:
+            raise ConfigError("--bits only applies to engines %s"
+                              % ", ".join(_MP_ENGINES))
+        if args.bits is None and args.engine in _MP_ENGINES:
+            args.bits = 256
+    if args.command == "sweep" and args.count < 1:
         raise ConfigError("--count must be >= 1")
-    return cfg
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _emit(cfg, text):
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit(args, text):
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -211,34 +172,33 @@ def _cx(z):
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def cmd_compile(cfg):
-    dcr = compile_sixj(SixJLabels(*cfg.spins))
-    _emit(cfg, dcr_to_json(dcr) + "\n")
+def cmd_compile(args):
+    dcr = compile_sixj(SixJLabels(*args.spins))
+    _emit(args, dcr_to_json(dcr) + "\n")
     return 0
 
 
-def _eval_amplitude(cfg):
+def _eval_amplitude(args):
     """(amplitude complex, parts dict or None, dcr or None)"""
-    labels = SixJLabels(*cfg.spins)
-    h = cfg.level + 2
-    bits = cfg.resolved_bits()
-    if cfg.engine == "lse-f64":
+    labels = SixJLabels(*args.spins)
+    h, bits = args.level + 2, args.bits
+    if args.engine == "lse-f64":
         return complex(diagnostics.lse_eval_sixj(labels, h, "double")), None, None
-    if cfg.engine == "lse-mp":
+    if args.engine == "lse-mp":
         return complex(diagnostics.lse_eval_sixj(labels, h, bits)), None, None
     dcr = compile_sixj(labels)
-    if cfg.engine == "classical":
+    if args.engine == "classical":
         out = classical_project(dcr)
         amp = complex(out.a) * math.sqrt(float(out.r))
         return amp, {"a": str(out.a), "r": str(out.r)}, dcr
-    if cfg.engine == "exact":
+    if args.engine == "exact":
         ctx = make_context(RootOfUnityExact(h), dcr.d_max)
         out = evaluate(dcr, ctx)
         amp = complex(amplitude_to_complex(out, ctx, bits=bits))
         parts = {"a_coeffs": [str(c) for c in out.a.coeffs],
                  "r_coeffs": [str(c) for c in out.r.coeffs]}
         return amp, parts, dcr
-    tag = ComplexDouble() if cfg.engine == "dcr-f64" else ComplexExtended(bits)
+    tag = ComplexDouble() if args.engine == "dcr-f64" else ComplexExtended(bits)
     ctx = make_context(tag, dcr.d_max, q=unit_circle_q(h, tag))
     out = evaluate(dcr, ctx)
     amp = complex(amplitude_to_complex(out, ctx))
@@ -246,75 +206,75 @@ def _eval_amplitude(cfg):
     return amp, parts, dcr
 
 
-def cmd_eval(cfg):
-    amp, parts, dcr = _eval_amplitude(cfg)
-    bits = cfg.resolved_bits()
-    if cfg.fmt == "json":
-        obj = {"spins": list(cfg.spins), "level": cfg.level,
-               "engine": cfg.engine, "bits": bits,
+def cmd_eval(args):
+    amp, parts, dcr = _eval_amplitude(args)
+    if args.fmt == "json":
+        obj = {"spins": list(args.spins), "level": args.level,
+               "engine": args.engine, "bits": args.bits,
                "amplitude": _cx(amp)}
-        if parts is not None and cfg.parts:
+        if parts is not None and args.parts:
             obj["parts"] = parts
         if dcr is not None:
             obj["dcr"] = json.loads(dcr_to_json(dcr))
-        _emit(cfg, json.dumps(obj, indent=2) + "\n")
+        _emit(args, json.dumps(obj, indent=2) + "\n")
         return 0
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         header = ("spins", "level", "engine", "bits", "amp_re", "amp_im")
-        row = (",".join(map(str, cfg.spins)), cfg.level, cfg.engine,
-               bits or "", "%.17e" % amp.real, "%.17e" % amp.imag)
-        _emit(cfg, _rows_to_csv(header, [row]))
+        row = (",".join(map(str, args.spins)), args.level, args.engine,
+               args.bits or "", "%.17e" % amp.real, "%.17e" % amp.imag)
+        _emit(args, _rows_to_csv(header, [row]))
         return 0
-    lines = ["spins      %s" % ",".join(map(str, cfg.spins)),
-             "level      %d" % cfg.level,
-             "engine     %s%s" % (cfg.engine,
-                                  " (%d bits)" % bits if bits else ""),
+    lines = ["spins      %s" % ",".join(map(str, args.spins)),
+             "level      %d" % args.level,
+             "engine     %s%s" % (args.engine, " (%d bits)" % args.bits
+                                  if args.bits else ""),
              "amplitude  %.12e %+.12ej" % (amp.real, amp.imag)]
-    if cfg.engine == "classical" or (cfg.parts and parts is not None):
+    if args.engine == "classical" or (args.parts and parts is not None):
         for key, val in (parts or {}).items():
             lines.append("%-10s %s" % (key, val))
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_diag(cfg):
-    labels = SixJLabels(*cfg.spins)
-    d = diagnostics.diagnostics_sixj(labels, cfg.level + 2, bits=cfg.bits or 512)
+def cmd_diag(args):
+    labels = SixJLabels(*args.spins)
+    d = diagnostics.diagnostics_sixj(labels, args.level + 2,
+                                     bits=args.bits or 512)
     fields = (("kappa", "%.6e"), ("delta_loss", "%.3f"),
               ("gamma_eager", "%.2f"), ("gamma_dcr", "%.2f"),
               ("max_term", "%.6e"), ("abs_sum", "%.6e"), ("value", "%.6e"))
-    if cfg.fmt == "json":
-        obj = {"spins": list(cfg.spins), "level": cfg.level}
+    if args.fmt == "json":
+        obj = {"spins": list(args.spins), "level": args.level}
         obj.update({name: getattr(d, name) for name, _ in fields})
-        _emit(cfg, json.dumps(obj, indent=2) + "\n")
-    elif cfg.fmt == "csv":
+        _emit(args, json.dumps(obj, indent=2) + "\n")
+    elif args.fmt == "csv":
         header = tuple(name for name, _ in fields)
         row = tuple(fmt % getattr(d, name) for name, fmt in fields)
-        _emit(cfg, _rows_to_csv(header, [row]))
+        _emit(args, _rows_to_csv(header, [row]))
     else:
         lines = ["%-12s %s" % (name, fmt % getattr(d, name))
                  for name, fmt in fields]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _sweep_grid(cfg):
-    if cfg.sweep_count == 1:
-        ts = np.array([cfg.sweep_start])
+def _sweep_grid(args):
+    if args.count == 1:
+        ts = np.array([args.start])
     else:
-        ts = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    if cfg.unit_circle:
+        ts = np.linspace(args.start, args.stop, args.count)
+    if args.unit_circle:
         return np.exp(1j * ts)
     return ts.astype(complex)
 
 
-def cmd_sweep(cfg):
+def cmd_sweep(args):
     t0 = time.perf_counter()
-    dcr = compile_sixj(SixJLabels(*cfg.spins))
+    dcr = compile_sixj(SixJLabels(*args.spins))
     compile_s = time.perf_counter() - t0
-    qs = _sweep_grid(cfg)
+    qs = _sweep_grid(args)
     rows = []
-    if cfg.engine == "dcr-f64":
+    if args.engine == "dcr-f64":
         sw = SweepEvaluator(dcr)
         t0 = time.perf_counter()
         vals = sw.amplitudes(qs)
@@ -327,8 +287,7 @@ def cmd_sweep(cfg):
                          "%.12e" % v.imag if ok else "",
                          "ok" if ok else "ERROR", "%.3f" % per_us))
     else:
-        bits = cfg.resolved_bits()
-        tag = ComplexExtended(bits)
+        tag = ComplexExtended(args.bits)
         proj_s = 0.0
         for i, q in enumerate(qs):
             t0 = time.perf_counter()
@@ -349,15 +308,15 @@ def cmd_sweep(cfg):
     header = ("idx", "q_re", "q_im", "amp_re", "amp_im", "status", "usec")
     footer = ["points=%d compile_us=%.1f proj_us_per_point=%.3f"
               % (len(qs), 1e6 * compile_s, 1e6 * proj_s / len(qs))]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         obj = {"points": [dict(zip(header, r)) for r in rows],
                "compile_us": 1e6 * compile_s,
                "proj_us_per_point": 1e6 * proj_s / len(qs)}
-        _emit(cfg, json.dumps(obj, indent=2) + "\n")
-    elif cfg.fmt == "csv":
-        _emit(cfg, _rows_to_csv(header, rows, footer))
+        _emit(args, json.dumps(obj, indent=2) + "\n")
+    elif args.fmt == "csv":
+        _emit(args, _rows_to_csv(header, rows, footer))
     else:
-        _emit(cfg, _rows_to_text(header, rows, ["# " + footer[0]]))
+        _emit(args, _rows_to_text(header, rows, ["# " + footer[0]]))
     return 0
 
 
@@ -406,28 +365,28 @@ def _table_t4():
     return header, rows
 
 
-def cmd_table(cfg):
-    if cfg.which == "t3":
-        header, rows = _table_t3(cfg.bits or 2048)
-    elif cfg.which == "t1":
+def cmd_table(args):
+    if args.which == "t3":
+        header, rows = _table_t3(args.bits or 2048)
+    elif args.which == "t1":
         header, rows = _table_t1()
     else:
         header, rows = _table_t4()
-    if cfg.fmt == "json":
-        obj = {"table": cfg.which,
+    if args.fmt == "json":
+        obj = {"table": args.which,
                "rows": [dict(zip(header, r)) for r in rows]}
-        _emit(cfg, json.dumps(obj, indent=2) + "\n")
-    elif cfg.fmt == "csv":
-        _emit(cfg, _rows_to_csv(header, rows))
+        _emit(args, json.dumps(obj, indent=2) + "\n")
+    elif args.fmt == "csv":
+        _emit(args, _rows_to_csv(header, rows))
     else:
-        _emit(cfg, _rows_to_text(header, rows))
+        _emit(args, _rows_to_text(header, rows))
     return 0
 
 
-def cmd_tv(cfg):
-    tri = statesum.load_triangulation(cfg.triangulation)
-    value, stats = statesum.tv_partition(tri, cfg.level, bits=cfg.bits,
-                                         weights=cfg.weights)
+def cmd_tv(args):
+    tri = statesum.load_triangulation(args.triangulation)
+    value, stats = statesum.tv_partition(tri, args.level, bits=args.bits,
+                                         weights=args.weights)
     value = complex(value)
     fields = (("value_re", "%.12e" % value.real),
               ("value_im", "%.12e" % value.imag),
@@ -435,13 +394,13 @@ def cmd_tv(cfg):
               ("distinct_classes", stats.distinct_classes),
               ("cache_hits", stats.cache_hits),
               ("cache_misses", stats.cache_misses))
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps(dict(fields), indent=2) + "\n")
-    elif cfg.fmt == "csv":
-        _emit(cfg, _rows_to_csv(tuple(k for k, _ in fields),
+    if args.fmt == "json":
+        _emit(args, json.dumps(dict(fields), indent=2) + "\n")
+    elif args.fmt == "csv":
+        _emit(args, _rows_to_csv(tuple(k for k, _ in fields),
                                 [tuple(v for _, v in fields)]))
     else:
-        _emit(cfg, "\n".join("%-16s %s" % kv for kv in fields) + "\n")
+        _emit(args, "\n".join("%-16s %s" % kv for kv in fields) + "\n")
     return 0
 
 
@@ -453,8 +412,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except (AdmissibilityError, PoleError) as exc:
         print("inadmissible input: %s" % exc, file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ value j corresponds to tj = 2j), which keeps every intermediate integral.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import qfactor
 from .monomial import IDENTITY, CycloMonomial, div, mul, sqrt_split
@@ -103,6 +103,8 @@ class SixJDescriptor:
 
 @dataclass(frozen=True)
 class DCR:
+    """Compiled series; building it folds each of (base, *ratios, root,
+    rad) once into `rows` (qfactor.fold), which every projection reads."""
     base: CycloMonomial
     ratios: tuple
     root: CycloMonomial
@@ -110,9 +112,14 @@ class DCR:
     z_min: int
     z_max: int
     d_max: int
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(self.ratios))
+        monos = (self.base, *self.ratios, self.root, self.rad)
+        if max(m.max_index() for m in monos) > self.d_max:
+            raise ValueError("DCR index above d_max %d" % self.d_max)
+        object.__setattr__(self, "rows", tuple(map(qfactor.fold, monos)))
 
     def num_terms(self):
         return self.z_max - self.z_min + 1
@@ -253,13 +260,12 @@ def compile_series(desc):
     # rad (root^2 * rad is unchanged): root then projects to a real number
     # on the unit circle, and so does rad when the radicand is a product
     # of quantum integers
-    shift = qfactor.fold(split.root)[0]
+    shift = qfactor.fold(split.root)[1]
     root = CycloMonomial(1, split.root.P - shift, split.root.exps)
     rad = CycloMonomial(split.rad.sigma, split.rad.P + 2 * shift,
                         split.rad.exps)
 
-    d_max = max([base.max_index()] + [r.max_index() for r in ratios]
-                + [root.max_index(), rad.max_index()])
+    d_max = max(m.max_index() for m in (base, *ratios, root, rad))
     return DCR(base=base, ratios=ratios, root=root, rad=rad,
                z_min=z_min, z_max=z_max, d_max=d_max)
 

@@ -25,7 +25,9 @@ lattice test on such a table compares integer mantissas, exactly.
 
 A monomial's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f, with one division;
-the identity holds in every ring, so all four arithmetics share it.
+the identity holds in every ring, so all four arithmetics share it.  A
+DCR is folded once, when it is built: evaluate and SweepEvaluator read its
+rows, and project_monomial folds the one monomial it is given.
 
 Evaluating a DCR walks the ratio chain, stopping at the first ratio of
 positive order, and returns the amplitude as a pair (a, r) meaning
@@ -109,20 +111,17 @@ class ClassicalValue:
     r: Fraction
 
 
+@dataclass(frozen=True, eq=False)
 class ProjectionContext:
     """Immutable bundle: field tag, q, and the table s[n], n = 1..d_max,
     with the vanishing entries already replaced by their limits."""
-
-    __slots__ = ("tag", "q", "s", "one", "d_max", "vanishing_index", "_field")
-
-    def __init__(self, tag, q, s, one, d_max, vanishing_index=None, field=None):
-        self.tag = tag
-        self.q = q
-        self.s = s
-        self.one = one
-        self.d_max = d_max
-        self.vanishing_index = vanishing_index
-        self._field = field
+    tag: object
+    q: object
+    s: list
+    one: object
+    d_max: int
+    vanishing_index: int = None
+    _field: CycloField = None
 
 
 def unit_circle_q(h, tag):
@@ -268,13 +267,12 @@ def make_context(tag, d_max, q=None):
                       for n in range(1, d_max + 1)]
         return ProjectionContext(tag, fld.q, _take_limits(s, 1, h, fld.one),
                                  fld.one, d_max, h if h <= d_max else None,
-                                 field=fld)
+                                 _field=fld)
     if isinstance(tag, Classical):
         # q = 1 is e^{i pi 0/1}: every s_n vanishes and takes its limit n
         one = Fraction(1)
-        return ProjectionContext(tag, one, _take_limits([None] * (d_max + 1),
-                                                        0, 1, one),
-                                 one, d_max, 1)
+        s = _take_limits([None] * (d_max + 1), 0, 1, one)
+        return ProjectionContext(tag, one, s, one, d_max, 1)
     raise ValueError("unknown field tag %r" % (tag,))
 
 
@@ -284,16 +282,17 @@ def root_of_unity_context(h, tag, d_max):
 
 
 def project_monomial(m, ctx):
-    if isinstance(ctx.tag, ComplexExtended):
-        with mp.workprec(ctx.tag.bits):
-            return _project(m, ctx)
-    return _project(m, ctx)
-
-
-def _project(m, ctx):
     if m.max_index() > ctx.d_max:
         raise ValueError("monomial index %d exceeds context d_max %d"
                          % (m.max_index(), ctx.d_max))
+    if isinstance(ctx.tag, ComplexExtended):
+        with mp.workprec(ctx.tag.bits):
+            return _project(m, fold(m), ctx)
+    return _project(m, fold(m), ctx)
+
+
+def _project(m, row, ctx):
+    """Image of m, given its row fold(m)."""
     h = ctx.vanishing_index
     if h is not None:
         order = m.exps.get(h)  # sum of F_n over the multiples n of h
@@ -301,15 +300,12 @@ def _project(m, ctx):
             return ctx.one * 0
         if order < 0:
             raise PoleError("inadmissible: pole at Phi_%d" % h)
-    P, F = fold(m)
-    groups = {}
-    for n, f in F.items():
-        groups.setdefault(f, []).append(ctx.s[n])
+    sigma, P, groups = row
     try:
         # prod_f (prod_{F_n = f} s_n)^f: one power per exponent, one division
         num, den = [], []
-        for f, g in groups.items():
-            g = _product(g)
+        for f, g in groups:
+            g = _product([ctx.s[n] for n in g])
             (num if f > 0 else den).append(g if abs(f) == 1 else g ** abs(f))
         out = _product(num, ctx.one)
         if den:
@@ -325,7 +321,7 @@ def _project(m, ctx):
     if isinstance(ctx.tag, ComplexDouble) and not 0 < abs(out) < math.inf:
         raise ProjectionRangeError("projection left double precision range; "
                                    "use an extended-precision tag")
-    return -out if m.sigma < 0 else out
+    return -out if sigma < 0 else out
 
 
 def _product(factors, one=None):
@@ -346,15 +342,15 @@ def evaluate(dcr, ctx):
 
 def _evaluate_loop(dcr, ctx):
     h = ctx.vanishing_index
-    term = total = _project(dcr.base, ctx)
-    for rz in dcr.ratios:
+    term = total = _project(dcr.base, dcr.rows[0], ctx)
+    for rz, row in zip(dcr.ratios, dcr.rows[1:]):
         if h is not None and rz.exps.get(h) > 0:
             break  # this ratio vanishes, and every later term contains it
-        term = term * _project(rz, ctx)
+        term = term * _project(rz, row, ctx)
         total = total + term
-    root = _project(dcr.root, ctx)
+    root = _project(dcr.root, dcr.rows[-2], ctx)
     a = root * total
-    r = _project(dcr.rad, ctx)
+    r = _project(dcr.rad, dcr.rows[-1], ctx)
     if isinstance(ctx.tag, ComplexDouble):
         for v in (a, r):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -412,30 +408,24 @@ def _turn(t):
 class SweepEvaluator:
     """Log-domain double-precision projection of one DCR across many q.
 
-    The rows (base, ratios, root, rad) fold once into an integer matrix F
-    and a vector P', so the log of row m at a point is
-    (log s @ F.T)[m] + P'_m log q, s as in a scalar context.  Magnitudes
-    and phases are carried apart; on the unit circle every s_n is real, a
-    6j row's phase is a whole number of half turns, and the signs of the
-    terms and of the prefactor branch come out exact.  Roots of unity
-    take the limits and vanishing orders of the scalar rule.  The base and
-    the largest term are factored out before exp.
+    The DCR's rows (base, ratios, root, rad), folded once when it was
+    built, fill an integer matrix F and a vector P', so the log of row m at
+    a point is (log s @ F.T)[m] + P'_m log q, s as in a scalar context.
+    Magnitudes and phases are carried apart; on the unit circle every s_n
+    is real, a 6j row's phase is a whole number of half turns, and the
+    signs of the terms and of the prefactor branch come out exact.  Roots
+    of unity take the limits and vanishing orders of the scalar rule.  The
+    base and the largest term are factored out before exp.
     """
 
     def __init__(self, dcr):
-        self.dcr = dcr
-        D = max(dcr.d_max, 2)
-        self.d_max = D
-        monos = [dcr.base, *dcr.ratios, dcr.root, dcr.rad]
-        F = np.zeros((len(monos), D))
-        P = np.zeros(len(monos))
-        for i, m in enumerate(monos):
-            P[i], row = fold(m)
-            for n, f in row.items():
-                F[i, n - 1] = f
-        self._F = F
-        self._P = P
-        self._neg = np.array([1.0 if m.sigma < 0 else 0.0 for m in monos])
+        self._F = F = np.zeros((len(dcr.rows), max(dcr.d_max, 2)))
+        for i, (_, _, groups) in enumerate(dcr.rows):
+            for f, g in groups:
+                for n in g:
+                    F[i, n - 1] = f
+        self._P = np.array([P for _, P, _ in dcr.rows], dtype=float)
+        self._neg = np.array([s < 0 for s, _, _ in dcr.rows], dtype=float)
         self._nratios = len(dcr.ratios)
 
     def amplitudes(self, qs):
@@ -445,7 +435,7 @@ class SweepEvaluator:
         nothing else, and inf a value past double range."""
         qs = np.asarray(qs, dtype=complex)
         R, F = self._nratios, self._F
-        n = np.arange(1, self.d_max + 1)
+        n = np.arange(1, F.shape[1] + 1)
         theta = np.angle(qs)
         on = _on_circle(qs, _U_DOUBLE)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

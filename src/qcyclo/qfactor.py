@@ -72,7 +72,8 @@ def _fold_row(d):
 
 
 def fold(m):
-    """(P', F) with m = sigma * q^P' * prod_n s_n^F[n], s_n = q^n - q^{-n}.
+    """(sigma, P', groups) with m = sigma * q^P' * prod_n s_n^F[n] over
+    s_n = q^n - q^{-n}, the n with F[n] = f != 0 grouped as (f, (n, ...)).
 
     Moebius inversion of q^{2n} - 1 = prod_{d | n} Phi_d(q^2) gives
     Phi_d(q^2) = q^totient(d) * prod_{n | d} s_n^mu(d/n), so
@@ -85,4 +86,7 @@ def fold(m):
         P += e * totient
         for n, mu in row:
             F[n] = F.get(n, 0) + mu * e
-    return P, {n: f for n, f in F.items() if f}
+    groups = {}
+    for n, f in F.items():
+        groups.setdefault(f, []).append(n)
+    return m.sigma, P, tuple((f, tuple(g)) for f, g in groups.items() if f)

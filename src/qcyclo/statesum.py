@@ -21,11 +21,11 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from . import projection
-from .compiler import SixJLabels, compile_sixj, triangle_admissible
-from .qfactor import qint_monomial
+from mpmath import mp
 
-TRIAD_SLOTS = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))
+from . import projection
+from .compiler import TRIADS, SixJLabels, compile_sixj, triangle_admissible
+from .qfactor import qint_monomial
 
 _COLUMN_PERMS = tuple(itertools.permutations((0, 1, 2)))
 # upper/lower exchange in exactly two columns, or none
@@ -169,7 +169,7 @@ def _tet_triads(tri):
     """(edge names per triad) for every face of every tetrahedron."""
     triads = []
     for tet in tri.tetrahedra:
-        for i, j, k in TRIAD_SLOTS:
+        for i, j, k in TRIADS:
             triads.append((tet[i], tet[j], tet[k]))
     return triads
 
@@ -233,7 +233,7 @@ def tv_partition(tri, k, bits=None, weights=True, cache=None):
     with A = sum_{tj=0}^{k} [tj+1]_q^2.  weights=False drops the edge
     factors (and the normalization stays), for the bare form of the
     sum.  bits=None computes in double precision, otherwise in
-    extended precision with that many bits.
+    extended precision with that many bits, sums and products included.
 
     Returns (value, TVStats).
     """
@@ -242,22 +242,25 @@ def tv_partition(tri, k, bits=None, weights=True, cache=None):
         else projection.ComplexExtended(int(bits))
     table = SixJTable(
         projection.root_of_unity_context(h, tag, d_max=2 * k + 2), cache)
-    qdim = [table.qint(tj + 1) for tj in range(k + 1)]
-    norm = sum(w * w for w in qdim) ** (-tri.num_vertices)
-    colorings = 0
-    total = 0
-    for coloring in admissible_colorings(tri, k):
-        colorings += 1
-        term = 1
-        if weights:
-            for e in tri.edges:
-                term = term * qdim[coloring[e]]
-        for tet in tri.tetrahedra:
-            term = term * table.sixj(coloring[e] for e in tet)
-        total = total + term
+    # the double path never reads mp.prec
+    with mp.workprec(mp.prec if bits is None else int(bits)):
+        qdim = [table.qint(tj + 1) for tj in range(k + 1)]
+        norm = sum(w * w for w in qdim) ** (-tri.num_vertices)
+        colorings = 0
+        total = 0
+        for coloring in admissible_colorings(tri, k):
+            colorings += 1
+            term = 1
+            if weights:
+                for e in tri.edges:
+                    term = term * qdim[coloring[e]]
+            for tet in tri.tetrahedra:
+                term = term * table.sixj(coloring[e] for e in tet)
+            total = total + term
+        total = total * norm
     stats = TVStats(num_colorings=colorings,
                     cache_hits=table.cache.hits,
                     cache_misses=table.cache.misses,
                     distinct_classes=len(table.values),
                     value_reuses=table.reuses)
-    return total * norm, stats
+    return total, stats

@@ -145,6 +145,11 @@ class TestSerialization:
             dcr_from_json("{not json")
         with pytest.raises(ValueError, match="missing"):
             dcr_from_json(json.dumps({"z_min": 0}))
+        # a d_max below the largest index is refused when the DCR is built
+        obj = json.loads(dcr_to_json(compile_sixj(ALL_ONES)))
+        obj["d_max"] -= 1
+        with pytest.raises(ValueError, match="d_max"):
+            dcr_from_json(json.dumps(obj))
 
 
 class TestAffineForm:

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
-from qcyclo.compiler import DCR, SixJLabels, compile_sixj
+from qcyclo import projection, qfactor
+from qcyclo.compiler import (DCR, SixJLabels, compile_sixj, dcr_from_json,
+                             dcr_to_json)
 from qcyclo.diagnostics import lse_eval_sixj
 from qcyclo.monomial import CycloMonomial, div, mul
 from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
@@ -320,10 +322,36 @@ def manual_series_amplitude(dcr, ctx, bits):
         return project_monomial(dcr.root, ctx) * total
 
 
+def project_monomial_chain(dcr, ctx):
+    """evaluate's walk over the ratios, every monomial projected by
+    project_monomial, which folds it afresh."""
+    h = ctx.vanishing_index
+    bits = ctx.tag.bits if isinstance(ctx.tag, ComplexExtended) else mp.prec
+    with mp.workprec(bits):
+        term = total = project_monomial(dcr.base, ctx)
+        for rz in dcr.ratios:
+            if h is not None and rz.exps.get(h) > 0:
+                break
+            term = term * project_monomial(rz, ctx)
+            total = total + term
+        return project_monomial(dcr.root, ctx) * total
+
+
 class TestEvaluate:
     CASES = ((ALL_ONES, 5), (ALL_ONES, 7), (SixJLabels(4, 4, 4, 4, 4, 4), 9),
              (SixJLabels(4, 4, 4, 4, 4, 4), 11), (BRANCH_LABELS, 8),
              (BRANCH_LABELS, 12), (HALF_MIX, 6))
+
+    @pytest.mark.parametrize("labels,h", CASES)
+    def test_built_rows_project_as_project_monomial(self, labels, h):
+        # the rows folded when the DCR was built give bit for bit what
+        # folding each monomial afresh gives, in all four arithmetics
+        dcr = compile_sixj(labels)
+        for ctx in (root_of_unity_context(h, ComplexDouble(), dcr.d_max),
+                    root_of_unity_context(h, ComplexExtended(256), dcr.d_max),
+                    make_context(RootOfUnityExact(h), dcr.d_max),
+                    make_context(Classical(), dcr.d_max)):
+            assert evaluate(dcr, ctx).a == project_monomial_chain(dcr, ctx)
 
     @pytest.mark.parametrize("labels,h", CASES)
     def test_early_termination_matches_term_sum(self, labels, h):
@@ -366,6 +394,31 @@ class TestEvaluate:
         assert cmath.isfinite(got)
         want = mp_amplitude(SixJLabels(*(100,) * 6), 202, bits=512)
         assert abs(got - complex(want)) <= 1e-6 * abs(want)
+
+
+class TestFoldOnce:
+    def test_evaluate_and_sweep_never_fold(self, monkeypatch):
+        # compile_series and dcr_from_json fold a DCR when they build it;
+        # evaluate and the sweep only read its rows
+        compiled = compile_sixj(SixJLabels(4, 4, 4, 4, 4, 4))
+        dcrs = (compiled, dcr_from_json(dcr_to_json(compiled)))
+        d_max, h = compiled.d_max, 9
+        ctxs = (root_of_unity_context(h, ComplexDouble(), d_max),
+                make_context(ComplexDouble(), d_max, q=cmath.exp(0.7j)),
+                root_of_unity_context(h, ComplexExtended(256), d_max),
+                make_context(RootOfUnityExact(h), d_max),
+                make_context(Classical(), d_max))
+        qs = np.concatenate([np.exp(1j * np.linspace(0.1, 3.0, 17)),
+                             np.exp(1j * np.pi / np.arange(3, 20))])
+
+        def refuse(m):
+            raise AssertionError("fold called on a built DCR")
+        monkeypatch.setattr(qfactor, "fold", refuse)
+        monkeypatch.setattr(projection, "fold", refuse)
+        for dcr in dcrs:
+            for ctx in ctxs:
+                evaluate(dcr, ctx)
+            assert SweepEvaluator(dcr).amplitudes(qs).shape == qs.shape
 
 
 class TestAmplitude:

@@ -259,6 +259,16 @@ class TestPartitionSum:
         with mp.workprec(192):
             assert abs(v_lo - complex(v_hi)) <= 1e-10 * (1 + abs(complex(v_hi)))
 
+    def test_extended_sum_at_requested_bits(self):
+        # products, sum and normalization run at `bits`, not at the
+        # ambient mpmath precision
+        tri = load_triangulation(str(DATA / "ball_4tet.json"))
+        with mp.workprec(53):
+            v256, _ = tv_partition(tri, 5, bits=256)
+        with mp.workprec(512):
+            v512, _ = tv_partition(tri, 5, bits=512)
+            assert abs(v256 - v512) <= mp.mpf(10) ** -60 * abs(v512)
+
     @pytest.mark.xfail(
         strict=True,
         reason="with fixed boundary colors the exposed normalization "
