@@ -125,6 +125,9 @@ def _build_parser():
 def _check_args(args):
     """Reject the option mixes argparse cannot, and resolve --bits for the
     engines that take it."""
+    # 53 bits is the floor of extended precision (ComplexExtended)
+    if getattr(args, "bits", None) is not None and args.bits < 53:
+        raise ConfigError("--bits must be >= 53, got %d" % args.bits)
     if args.command in ("eval", "sweep"):
         if args.bits is not None and args.engine not in _MP_ENGINES:
             raise ConfigError("--bits only applies to engines %s"
@@ -239,7 +242,7 @@ def cmd_eval(args):
 def cmd_diag(args):
     labels = SixJLabels(*args.spins)
     d = diagnostics.diagnostics_sixj(labels, args.level + 2,
-                                     bits=args.bits or 512)
+                                     bits=args.bits)
     fields = (("kappa", "%.6e"), ("delta_loss", "%.3f"),
               ("gamma_eager", "%.2f"), ("gamma_dcr", "%.2f"),
               ("max_term", "%.6e"), ("abs_sum", "%.6e"), ("value", "%.6e"))
@@ -367,7 +370,7 @@ def _table_t4():
 
 def cmd_table(args):
     if args.which == "t3":
-        header, rows = _table_t3(args.bits or 2048)
+        header, rows = _table_t3(args.bits)
     elif args.which == "t1":
         header, rows = _table_t1()
     else:

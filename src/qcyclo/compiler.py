@@ -11,8 +11,11 @@ produces the parameter-independent tuple
 where base is the summand monomial at z_min, ratios[i] is the exact
 term-to-term ratio R_{z_min+i} as a single monomial, and root^2 * rad is
 the prefactor radicand with rad's cyclotomic exponents square-free and
-root's q-power zero over the quantum-integer basis (qfactor.fold).  No
-field arithmetic and no polynomial expansion happens anywhere in this
+root's q-power zero over the quantum-integer basis (qfactor.fold).  The
+DCR also carries every monomial's row over that basis.  Each ratio is a
+product of quantum integers [n] = s_n/s_1, so its monomial and its row
+are built together in one pass, and only base, root and rad are folded.
+No field arithmetic and no polynomial expansion happens anywhere in this
 module.
 
 Convention: the (-1)^z of an alternating series is absorbed into the sign
@@ -103,8 +106,10 @@ class SixJDescriptor:
 
 @dataclass(frozen=True)
 class DCR:
-    """Compiled series; building it folds each of (base, *ratios, root,
-    rad) once into `rows` (qfactor.fold), which every projection reads."""
+    """Compiled series.  `rows` holds each of (base, *ratios, root, rad)
+    over the quantum-integer basis, as qfactor.fold gives it, and every
+    projection reads them.  compile_series hands the rows in; a DCR built
+    without them (dcr_from_json, by hand) folds its monomials once."""
     base: CycloMonomial
     ratios: tuple
     root: CycloMonomial
@@ -112,14 +117,15 @@ class DCR:
     z_min: int
     z_max: int
     d_max: int
-    rows: tuple = field(init=False, repr=False, compare=False)
+    rows: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(self.ratios))
         monos = (self.base, *self.ratios, self.root, self.rad)
         if max(m.max_index() for m in monos) > self.d_max:
             raise ValueError("DCR index above d_max %d" % self.d_max)
-        object.__setattr__(self, "rows", tuple(map(qfactor.fold, monos)))
+        if self.rows is None:
+            object.__setattr__(self, "rows", tuple(map(qfactor.fold, monos)))
 
     def num_terms(self):
         return self.z_max - self.z_min + 1
@@ -211,37 +217,45 @@ def bounds(desc):
 def ratio_monomial(desc, z):
     """Exact term ratio R_z = T_{z+1}/T_z as a single monomial.
 
+    For the 6j this is -[z+2] prod_y [b_y-z] / prod_i [z+1-a_i]."""
+    return _ratio(desc, z)[0]
+
+
+def _ratio(desc, z):
+    """R_z as a monomial and as its row over s_n (qfactor.fold of the
+    monomial, built alongside it rather than folded from it).
+
     Each slope +1 argument steps its factorial up by one quantum integer,
     each slope -1 argument steps down; numerator and denominator roles
-    flip the direction.  For the 6j this is -[z+2] prod_y [b_y-z] /
-    prod_i [z+1-a_i].
-    """
-    m = CycloMonomial(-1 if desc.alternating else 1,
-                      desc.phase.at(z + 1) - desc.phase.at(z))
-    for arg in desc.num_args:
-        if arg.c1 == 1:
-            m = mul(m, _qint_checked(arg.c0 + z + 1, z))
-        elif arg.c1 == -1:
-            m = div(m, _qint_checked(arg.c0 - z, z))
-    for arg in desc.den_args:
-        if arg.c1 == 1:
-            m = div(m, _qint_checked(arg.c0 + z + 1, z))
-        elif arg.c1 == -1:
-            m = mul(m, _qint_checked(arg.c0 - z, z))
-    return m
-
-
-def _qint_checked(n, z):
-    if n <= 0:
-        raise RuntimeError(
-            "ratio step at z=%d hit a non-positive quantum integer [%d]; "
-            "summation bounds are inconsistent" % (z, n))
-    return qfactor.qint_monomial(n)
+    flip the direction.  A step by [n]^e adds e to e_d for the divisors
+    d > 1 of n and e(1 - n) to P, since [n] = q^{1-n} prod_{d | n, d > 1}
+    Phi_d(q^2), and e at s_n and -e at s_1, since [n] = s_n / s_1 folds
+    to P' = 0; the row's P' is therefore the phase step."""
+    step = desc.phase.at(z + 1) - desc.phase.at(z)
+    P, exps, F = step, {}, {1: 0}
+    for args, way in ((desc.num_args, 1), (desc.den_args, -1)):
+        for arg in args:
+            if not arg.c1:
+                continue
+            n = arg.c0 + z + 1 if arg.c1 == 1 else arg.c0 - z
+            if n <= 0:
+                raise RuntimeError(
+                    "ratio step at z=%d hit a non-positive quantum integer "
+                    "[%d]; summation bounds are inconsistent" % (z, n))
+            e = way * arg.c1
+            P += e * (1 - n)
+            for d in qfactor.qint_monomial(n).exps.indices():
+                exps[d] = exps.get(d, 0) + e
+            F[n] = F.get(n, 0) + e
+            F[1] -= e
+    sigma = -1 if desc.alternating else 1
+    return CycloMonomial(sigma, P, exps), qfactor.grouped(sigma, step, F)
 
 
 def compile_series(desc):
     """Assemble the DCR: base summand at z_min, one exact ratio per step,
-    and the square-root split of the prefactor radicand."""
+    and the square-root split of the prefactor radicand.  The ratios'
+    rows come with them; only base, root and rad are folded."""
     rng = bounds(desc)
     if rng is None:
         raise ValueError("empty summation range: series is identically zero")
@@ -254,20 +268,23 @@ def compile_series(desc):
     for arg in desc.den_args:
         base = div(base, qfactor.qfact_monomial(arg.at(z_min)))
 
-    ratios = tuple(ratio_monomial(desc, z) for z in range(z_min, z_max))
+    built = [_ratio(desc, z) for z in range(z_min, z_max)]
     split = sqrt_split(desc.prefactor_radicand)
     # move the q-power that root keeps over the quantum-integer basis into
     # rad (root^2 * rad is unchanged): root then projects to a real number
     # on the unit circle, and so does rad when the radicand is a product
     # of quantum integers
-    shift = qfactor.fold(split.root)[1]
+    _, shift, root_groups = qfactor.fold(split.root)
     root = CycloMonomial(1, split.root.P - shift, split.root.exps)
     rad = CycloMonomial(split.rad.sigma, split.rad.P + 2 * shift,
                         split.rad.exps)
 
+    ratios = tuple(m for m, _ in built)
     d_max = max(m.max_index() for m in (base, *ratios, root, rad))
     return DCR(base=base, ratios=ratios, root=root, rad=rad,
-               z_min=z_min, z_max=z_max, d_max=d_max)
+               z_min=z_min, z_max=z_max, d_max=d_max,
+               rows=(qfactor.fold(base), *(row for _, row in built),
+                     (1, 0, root_groups), qfactor.fold(rad)))
 
 
 def compile_sixj(labels):

@@ -26,8 +26,9 @@ lattice test on such a table compares integer mantissas, exactly.
 A monomial's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f, with one division;
 the identity holds in every ring, so all four arithmetics share it.  A
-DCR is folded once, when it is built: evaluate and SweepEvaluator read its
-rows, and project_monomial folds the one monomial it is given.
+DCR carries its rows from when it is built (compiler.DCR): evaluate and
+SweepEvaluator read them, and project_monomial folds the one monomial it
+is given.
 
 Evaluating a DCR walks the ratio chain, stopping at the first ratio of
 positive order, and returns the amplitude as a pair (a, r) meaning
@@ -408,7 +409,7 @@ def _turn(t):
 class SweepEvaluator:
     """Log-domain double-precision projection of one DCR across many q.
 
-    The DCR's rows (base, ratios, root, rad), folded once when it was
+    The DCR's rows (base, ratios, root, rad), made once when it was
     built, fill an integer matrix F and a vector P', so the log of row m at
     a point is (log s @ F.T)[m] + P'_m log q, s as in a scalar context.
     Magnitudes and phases are carried apart; on the unit circle every s_n

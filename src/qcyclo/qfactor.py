@@ -72,8 +72,10 @@ def _fold_row(d):
 
 
 def fold(m):
-    """(sigma, P', groups) with m = sigma * q^P' * prod_n s_n^F[n] over
-    s_n = q^n - q^{-n}, the n with F[n] = f != 0 grouped as (f, (n, ...)).
+    """The row (sigma, P', groups) with m = sigma * q^P' * prod_n s_n^F[n]
+    over s_n = q^n - q^{-n}, the n with F[n] = f != 0 grouped as
+    (f, (n, ...)) in the canonical order of grouped(): groups by their
+    smallest n, each group's n ascending.
 
     Moebius inversion of q^{2n} - 1 = prod_{d | n} Phi_d(q^2) gives
     Phi_d(q^2) = q^totient(d) * prod_{n | d} s_n^mu(d/n), so
@@ -86,7 +88,17 @@ def fold(m):
         P += e * totient
         for n, mu in row:
             F[n] = F.get(n, 0) + mu * e
+    return grouped(m.sigma, P, F)
+
+
+def grouped(sigma, P, F):
+    """The row (sigma, P, groups) of the exponents F = {n: F[n]}: the n
+    with F[n] = f != 0 grouped as (f, (n, ...)), the groups ordered by
+    their smallest n and each group's n ascending.  Projections multiply
+    in this order; fold and the compiler's ratio rows both end here, so
+    a row has one form whoever builds it."""
     groups = {}
-    for n, f in F.items():
-        groups.setdefault(f, []).append(n)
-    return m.sigma, P, tuple((f, tuple(g)) for f, g in groups.items() if f)
+    for n in sorted(F):
+        if F[n]:
+            groups.setdefault(F[n], []).append(n)
+    return sigma, P, tuple((f, tuple(g)) for f, g in groups.items())

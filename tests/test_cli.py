@@ -119,6 +119,25 @@ class TestEval:
         assert exc.value.code == 2
 
 
+class TestBits:
+    # every command that takes --bits refuses one below the 53-bit floor
+    # of extended precision as a usage error, before any work is done
+    @pytest.mark.parametrize("argv", (
+        ("eval", "--spins", "2,2,2,2,2,2", "--level", "5",
+         "--engine", "dcr-mp"),
+        ("sweep", "--spins", "2,2,2,2,2,2", "--engine", "dcr-mp",
+         "--start", "0.5", "--stop", "1.0", "--count", "2"),
+        ("diag", "--spins", "2,2,2,2,2,2", "--level", "5"),
+        ("table", "t3"),
+        ("tv", "--triangulation", str(DATA / "ball_1tet.json"),
+         "--level", "5")), ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("bits", ("8", "0"))
+    def test_below_floor_exit_2(self, capsys, argv, bits):
+        code, out, err = run(capsys, *argv, "--bits", bits)
+        assert code == 2 and out == ""
+        assert "configuration error" in err and ">= 53" in err
+
+
 class TestCompile:
     def test_round_trip(self, capsys):
         code, out, _ = run(capsys, "compile", "--spins", "2,2,4,3,1,3")

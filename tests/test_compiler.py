@@ -1,14 +1,18 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qcyclo.compiler import (AdmissibilityError, AffineForm, SixJLabels,
-                             bounds, compile_sixj, dcr_from_json, dcr_to_json,
-                             ratio_monomial, series_from_sixj,
+from qcyclo import qfactor
+from qcyclo.compiler import (TRIADS, AdmissibilityError, AffineForm,
+                             PhasePoly, SeriesDescriptor, SixJLabels, bounds,
+                             compile_series, compile_sixj, dcr_from_json,
+                             dcr_to_json, ratio_monomial, series_from_sixj,
                              sixj_descriptor, triangle_admissible)
-from qcyclo.monomial import div, mul
-from qcyclo.qfactor import qfact_monomial
+from qcyclo.monomial import CycloMonomial, div, mul
+from qcyclo.qfactor import fold, qfact_monomial
 
 from conftest import all_admissible_sixj
 
@@ -16,6 +20,27 @@ ALL_ONES = SixJLabels(2, 2, 2, 2, 2, 2)
 HALF_MIX = SixJLabels(1, 1, 2, 1, 1, 2)
 
 ADMISSIBLE6 = all_admissible_sixj(6)
+
+# a series of every argument kind (slope +1 and -1 on both sides, slope 0),
+# with a quadratic phase, no alternation and a signed, odd-power radicand
+GENERAL = SeriesDescriptor(
+    num_args=(AffineForm(2, +1), AffineForm(9, -1)),
+    den_args=(AffineForm(0, +1), AffineForm(-1, +1), AffineForm(12, -1),
+              AffineForm(5, 0)),
+    phase=PhasePoly(1, -3, 2),
+    alternating=False,
+    prefactor_radicand=mul(CycloMonomial(-1, 7, {3: 1}),
+                           div(qfact_monomial(11), qfact_monomial(4))))
+
+
+def seeded_labels(count, max_tj, seed):
+    """count admissible labels, twice-spins drawn uniform on 0..max_tj."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        tj = [rng.randint(0, max_tj) for _ in range(6)]
+        if all(triangle_admissible(*(tj[i] for i in t)) for t in TRIADS):
+            out.append(SixJLabels(*tj))
+    return out
 
 
 def sixj_strategy(max_tj=None):
@@ -129,7 +154,57 @@ class TestCompile:
                                 for m in (dcr.base, dcr.root, dcr.rad))
 
 
+class TestRows:
+    def test_compiled_rows_are_folds(self):
+        # the rows compile_series builds alongside the ratios are the folds
+        # of the monomials, in fold's order, and survive a JSON round trip
+        dcrs = [compile_sixj(labels) for labels in seeded_labels(300, 120, 7)]
+        dcrs.append(compile_series(GENERAL))
+        for dcr in dcrs:
+            monos = (dcr.base, *dcr.ratios, dcr.root, dcr.rad)
+            assert dcr.rows == tuple(map(fold, monos))
+            assert dcr_from_json(dcr_to_json(dcr)).rows == dcr.rows
+
+    def test_general_ratio_row(self):
+        # R_z = q^(4z-1) [z+3] [12-z] / ([9-z] [z+1] [z]): s_n to the power
+        # of [n], s_1 to minus their sum, and P' the phase step 4z - 1;
+        # rows[2] is R_2, as z_min = 1
+        assert compile_series(GENERAL).rows[2] == (
+            1, 7, ((1, (1, 5, 10)), (-1, (2, 3, 7))))
+
+    @pytest.mark.parametrize("compile_once", (
+        lambda: compile_sixj(SixJLabels(*(20,) * 6)),
+        lambda: compile_series(GENERAL)), ids=("sixj", "general"))
+    def test_compile_folds_three_monomials(self, monkeypatch, compile_once):
+        # base, root and rad are folded; the ratios never are
+        calls = []
+        real = qfactor.fold
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+        monkeypatch.setattr(qfactor, "fold", counting)
+        dcr = compile_once()
+        assert len(dcr.ratios) > 3
+        assert len(calls) == 3
+
+
 class TestSerialization:
+    # sha256 of dcr_to_json, which is the output of `qcyclo compile`
+    PINNED = (
+        ((20,) * 6, "5b0bbc3257870821f7801ae3c00019503e476763a05ee28a1919f676caa499cb"),
+        ((40, 54, 58, 46, 28, 30), "66ba308b463ec1ee8466a2b1b718a8a330ddeb2a3ecd1f54e2f487c11aac43cd"),
+        ((127, 180, 69, 91, 82, 191), "4720a128f36dd8fedce915a0821881a6761ee528709079f5542f2ed339fcd680"),
+        ((308, 305, 307, 319, 320, 304), "78c3e9bfab18a9c5cc570495aea18cf49e4343dd497f557fb0f3f12e6ac46b5b"),
+        (GENERAL, "075e7405dada224e7b11ccd423a66b3199b09d4945afab104a1a785a4f8bf199"))
+
+    @pytest.mark.parametrize("source,digest", PINNED,
+                             ids=lambda v: "general" if v is GENERAL else None)
+    def test_pinned_bytes(self, source, digest):
+        dcr = (compile_series(source) if source is GENERAL
+               else compile_sixj(SixJLabels(*source)))
+        assert hashlib.sha256(dcr_to_json(dcr).encode()).hexdigest() == digest
+
     @given(sixj_strategy())
     def test_round_trip(self, tjs):
         dcr = compile_sixj(SixJLabels(*tjs))

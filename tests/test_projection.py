@@ -344,8 +344,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("labels,h", CASES)
     def test_built_rows_project_as_project_monomial(self, labels, h):
-        # the rows folded when the DCR was built give bit for bit what
-        # folding each monomial afresh gives, in all four arithmetics
+        # the rows a DCR is built with give bit for bit what folding each
+        # monomial afresh gives, in all four arithmetics
         dcr = compile_sixj(labels)
         for ctx in (root_of_unity_context(h, ComplexDouble(), dcr.d_max),
                     root_of_unity_context(h, ComplexExtended(256), dcr.d_max),
@@ -398,8 +398,8 @@ class TestEvaluate:
 
 class TestFoldOnce:
     def test_evaluate_and_sweep_never_fold(self, monkeypatch):
-        # compile_series and dcr_from_json fold a DCR when they build it;
-        # evaluate and the sweep only read its rows
+        # compile_series and dcr_from_json make a DCR's rows when they
+        # build it; evaluate and the sweep only read them
         compiled = compile_sixj(SixJLabels(4, 4, 4, 4, 4, 4))
         dcrs = (compiled, dcr_from_json(dcr_to_json(compiled)))
         d_max, h = compiled.d_max, 9
