@@ -9,14 +9,16 @@ produces the parameter-independent tuple
     DCR = (base, ratios, root, rad, z_min, z_max, d_max)
 
 where base is the summand monomial at z_min, ratios[i] is the exact
-term-to-term ratio R_{z_min+i} as a single monomial, and root^2 * rad is
-the prefactor radicand with rad's cyclotomic exponents square-free and
-root's q-power zero over the quantum-integer basis (qfactor.fold).  The
-DCR also carries every monomial's row over that basis.  Each ratio is a
-product of quantum integers [n] = s_n/s_1, so its monomial and its row
-are built together in one pass, and only base, root and rad are folded.
-No field arithmetic and no polynomial expansion happens anywhere in this
-module.
+term-to-term ratio R_{z_min+i}, and root^2 * rad is the prefactor
+radicand with rad's cyclotomic exponents square-free and root's q-power
+zero over the quantum-integer basis s_n = q^n - q^{-n} (qfactor.fold).
+The DCR holds each of them as its row over that basis, and projections
+read the rows alone.  Each ratio is a product of quantum integers
+[n] = s_n/s_1, so the compiler writes it straight into its row and
+builds no Phi_d monomial for it; a ratio's monomial is derived from its
+row (qfactor.unfold) only when it is read.  Base, root and rad are
+monomials, each folded once.  No field arithmetic and no polynomial
+expansion happens anywhere in this module.
 
 Convention: the (-1)^z of an alternating series is absorbed into the sign
 of the base term as (-1)^{z_min}, after which each ratio carries one
@@ -28,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import qfactor
-from .monomial import IDENTITY, CycloMonomial, div, mul, sqrt_split
+from .monomial import IDENTITY, CycloMonomial, _check64, div, mul, sqrt_split
 
 
 class AdmissibilityError(ValueError):
@@ -104,31 +106,53 @@ class SixJDescriptor:
     labels: SixJLabels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DCR:
     """Compiled series.  `rows` holds each of (base, *ratios, root, rad)
     over the quantum-integer basis, as qfactor.fold gives it, and every
-    projection reads them.  compile_series hands the rows in; a DCR built
-    without them (dcr_from_json, by hand) folds its monomials once."""
+    projection reads them.  A ratio is kept as its row only: `ratios`
+    derives the monomials (qfactor.unfold) on each access.
+
+    compile_series hands the rows in; a DCR built from ratio monomials
+    instead (dcr_from_json, by hand) folds them, and base, root and rad,
+    once.  A row determines its monomial, so equality is that of the
+    monomials."""
     base: CycloMonomial
-    ratios: tuple
     root: CycloMonomial
     rad: CycloMonomial
     z_min: int
     z_max: int
     d_max: int
-    rows: tuple = field(default=None, repr=False, compare=False)
+    rows: tuple = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(self.ratios))
-        monos = (self.base, *self.ratios, self.root, self.rad)
-        if max(m.max_index() for m in monos) > self.d_max:
-            raise ValueError("DCR index above d_max %d" % self.d_max)
-        if self.rows is None:
-            object.__setattr__(self, "rows", tuple(map(qfactor.fold, monos)))
+    def __init__(self, *, base, root, rad, z_min, z_max, d_max,
+                 ratios=None, rows=None):
+        if (ratios is None) == (rows is None):
+            raise TypeError("a DCR takes either its ratios or its rows")
+        if rows is None:
+            rows = map(qfactor.fold, (base, *ratios, root, rad))
+        rows = tuple(rows)
+        for name, value in (("base", base), ("root", root), ("rad", rad),
+                            ("z_min", z_min), ("z_max", z_max),
+                            ("d_max", d_max), ("rows", rows)):
+            object.__setattr__(self, name, value)
+        if not 0 <= len(rows) - 3 == z_max - z_min:
+            raise ValueError("DCR has %d ratios for z_min %d to z_max %d"
+                             % (len(rows) - 3, z_min, z_max))
+        if _max_index(rows) > d_max:
+            raise ValueError("DCR index above d_max %d" % d_max)
+
+    @property
+    def ratios(self):
+        return tuple(map(qfactor.unfold, self.rows[1:-2]))
 
     def num_terms(self):
         return self.z_max - self.z_min + 1
+
+
+def _max_index(rows):
+    # the largest n of a row is the largest cyclotomic index of its monomial
+    return max((g[-1] for _, _, groups in rows for _, g in groups), default=1)
 
 
 def triangle_admissible(ta, tb, tc, level=None):
@@ -215,24 +239,23 @@ def bounds(desc):
 
 
 def ratio_monomial(desc, z):
-    """Exact term ratio R_z = T_{z+1}/T_z as a single monomial.
+    """Exact term ratio R_z = T_{z+1}/T_z as a single monomial, derived
+    from its row.
 
     For the 6j this is -[z+2] prod_y [b_y-z] / prod_i [z+1-a_i]."""
-    return _ratio(desc, z)[0]
+    return qfactor.unfold(_ratio(desc, z))
 
 
 def _ratio(desc, z):
-    """R_z as a monomial and as its row over s_n (qfactor.fold of the
-    monomial, built alongside it rather than folded from it).
+    """R_z as its row over s_n, built directly, with no Phi_d monomial.
 
     Each slope +1 argument steps its factorial up by one quantum integer,
     each slope -1 argument steps down; numerator and denominator roles
-    flip the direction.  A step by [n]^e adds e to e_d for the divisors
-    d > 1 of n and e(1 - n) to P, since [n] = q^{1-n} prod_{d | n, d > 1}
-    Phi_d(q^2), and e at s_n and -e at s_1, since [n] = s_n / s_1 folds
-    to P' = 0; the row's P' is therefore the phase step."""
-    step = desc.phase.at(z + 1) - desc.phase.at(z)
-    P, exps, F = step, {}, {1: 0}
+    flip the direction.  A step by [n]^e = (s_n / s_1)^e adds e at s_n
+    and -e at s_1, and [n] folds to P' = 0, so the row's P' is the phase
+    step and its sign the series' sign."""
+    step = _check64(desc.phase.at(z + 1) - desc.phase.at(z), "q-power P'")
+    F = {1: 0}
     for args, way in ((desc.num_args, 1), (desc.den_args, -1)):
         for arg in args:
             if not arg.c1:
@@ -243,19 +266,15 @@ def _ratio(desc, z):
                     "ratio step at z=%d hit a non-positive quantum integer "
                     "[%d]; summation bounds are inconsistent" % (z, n))
             e = way * arg.c1
-            P += e * (1 - n)
-            for d in qfactor.qint_monomial(n).exps.indices():
-                exps[d] = exps.get(d, 0) + e
             F[n] = F.get(n, 0) + e
             F[1] -= e
-    sigma = -1 if desc.alternating else 1
-    return CycloMonomial(sigma, P, exps), qfactor.grouped(sigma, step, F)
+    return qfactor.grouped(-1 if desc.alternating else 1, step, F)
 
 
 def compile_series(desc):
     """Assemble the DCR: base summand at z_min, one exact ratio per step,
-    and the square-root split of the prefactor radicand.  The ratios'
-    rows come with them; only base, root and rad are folded."""
+    and the square-root split of the prefactor radicand.  The ratios are
+    built as rows; only base, root and rad are folded."""
     rng = bounds(desc)
     if rng is None:
         raise ValueError("empty summation range: series is identically zero")
@@ -268,7 +287,6 @@ def compile_series(desc):
     for arg in desc.den_args:
         base = div(base, qfactor.qfact_monomial(arg.at(z_min)))
 
-    built = [_ratio(desc, z) for z in range(z_min, z_max)]
     split = sqrt_split(desc.prefactor_radicand)
     # move the q-power that root keeps over the quantum-integer basis into
     # rad (root^2 * rad is unchanged): root then projects to a real number
@@ -279,12 +297,11 @@ def compile_series(desc):
     rad = CycloMonomial(split.rad.sigma, split.rad.P + 2 * shift,
                         split.rad.exps)
 
-    ratios = tuple(m for m, _ in built)
-    d_max = max(m.max_index() for m in (base, *ratios, root, rad))
-    return DCR(base=base, ratios=ratios, root=root, rad=rad,
-               z_min=z_min, z_max=z_max, d_max=d_max,
-               rows=(qfactor.fold(base), *(row for _, row in built),
-                     (1, 0, root_groups), qfactor.fold(rad)))
+    rows = (qfactor.fold(base),
+            *(_ratio(desc, z) for z in range(z_min, z_max)),
+            (1, 0, root_groups), qfactor.fold(rad))
+    return DCR(base=base, root=root, rad=rad, z_min=z_min, z_max=z_max,
+               d_max=_max_index(rows), rows=rows)
 
 
 def compile_sixj(labels):

@@ -10,11 +10,12 @@ folds, by integer work alone (qfactor.fold), into
 so each arithmetic may scale s_n freely: a context holds sin(n theta) on
 the unit circle q = e^{i theta} (real), q^n - q^{-n} off it, x^n - x^{-n}
 in Q(zeta_2h), and n at q = 1.  At a root of unity e^{i pi a/h} exactly
-the s_n with h | n vanish, and the vanishing order of a monomial, the sum
-of F_n over those n, is its exponent e_h: a positive order projects to an
-exact zero, a negative one raises PoleError, and at order zero each
-vanishing s_n takes its limit (-1)^{an/h} n.  The classical limit is the
-case a = 0, h = 1.  lattice_order decides when a numeric q is such a root.
+the s_n with h | n vanish, and the vanishing order of a row is the sum
+of F_n over those n (its monomial's exponent e_h): a positive order
+projects to an exact zero, a negative one raises PoleError, and at order
+zero each vanishing s_n takes its limit (-1)^{an/h} n.  The classical
+limit is the case a = 0, h = 1.  lattice_order decides when a numeric q
+is such a root.
 
 In double the unit-circle table is math.sin(n theta).  In extended
 precision it follows from the unit x = q/|q|, or x = e^{i pi a/h} at a
@@ -27,8 +28,8 @@ A monomial's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f, with one division;
 the identity holds in every ring, so all four arithmetics share it.  A
 DCR carries its rows from when it is built (compiler.DCR): evaluate and
-SweepEvaluator read them, and project_monomial folds the one monomial it
-is given.
+SweepEvaluator read them alone, orders included, and never a monomial;
+project_monomial folds the one monomial it is given.
 
 Evaluating a DCR walks the ratio chain, stopping at the first ratio of
 positive order, and returns the amplitude as a pair (a, r) meaning
@@ -288,15 +289,21 @@ def project_monomial(m, ctx):
                          % (m.max_index(), ctx.d_max))
     if isinstance(ctx.tag, ComplexExtended):
         with mp.workprec(ctx.tag.bits):
-            return _project(m, fold(m), ctx)
-    return _project(m, fold(m), ctx)
+            return _project(fold(m), ctx)
+    return _project(fold(m), ctx)
 
 
-def _project(m, row, ctx):
-    """Image of m, given its row fold(m)."""
+def _order(row, h):
+    """Vanishing order of a row at a root of unity of order h: the sum of
+    F_n over the multiples n of h."""
+    return sum(f for f, g in row[2] for n in g if n % h == 0)
+
+
+def _project(row, ctx):
+    """Image of the monomial whose row is given."""
     h = ctx.vanishing_index
     if h is not None:
-        order = m.exps.get(h)  # sum of F_n over the multiples n of h
+        order = _order(row, h)
         if order > 0:
             return ctx.one * 0
         if order < 0:
@@ -343,15 +350,15 @@ def evaluate(dcr, ctx):
 
 def _evaluate_loop(dcr, ctx):
     h = ctx.vanishing_index
-    term = total = _project(dcr.base, dcr.rows[0], ctx)
-    for rz, row in zip(dcr.ratios, dcr.rows[1:]):
-        if h is not None and rz.exps.get(h) > 0:
+    term = total = _project(dcr.rows[0], ctx)
+    for row in dcr.rows[1:-2]:
+        if h is not None and _order(row, h) > 0:
             break  # this ratio vanishes, and every later term contains it
-        term = term * _project(rz, row, ctx)
+        term = term * _project(row, ctx)
         total = total + term
-    root = _project(dcr.root, dcr.rows[-2], ctx)
+    root = _project(dcr.rows[-2], ctx)
     a = root * total
-    r = _project(dcr.rad, dcr.rows[-1], ctx)
+    r = _project(dcr.rows[-1], ctx)
     if isinstance(ctx.tag, ComplexDouble):
         for v in (a, r):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -427,7 +434,7 @@ class SweepEvaluator:
                     F[i, n - 1] = f
         self._P = np.array([P for _, P, _ in dcr.rows], dtype=float)
         self._neg = np.array([s < 0 for s, _, _ in dcr.rows], dtype=float)
-        self._nratios = len(dcr.ratios)
+        self._nratios = len(dcr.rows) - 3
 
     def amplitudes(self, qs):
         """Amplitude a * sqrt(r) for each q, as a complex array; the

@@ -7,7 +7,8 @@ Both are returned as CycloMonomial values; nothing here ever touches a
 field element.  Factorials are memoized since triangle coefficients reuse
 the same arguments heavily (cache fills are idempotent, so a racing fill
 is harmless).  fold() runs the other way: it rewrites any monomial over
-the quantum-integer basis s_n = q^n - q^{-n}, by integer work alone.
+the quantum-integer basis s_n = q^n - q^{-n}, by integer work alone, and
+unfold() turns such a row back into its monomial.
 """
 
 import functools
@@ -89,6 +90,26 @@ def fold(m):
         for n, mu in row:
             F[n] = F.get(n, 0) + mu * e
     return grouped(m.sigma, P, F)
+
+
+def unfold(row):
+    """The monomial m with fold(m) == row, the inverse of fold.
+
+    The F[n] sum to zero, so prod_n s_n^F[n] = prod_n [n]^F[n] with
+    [n] = s_n / s_1, and m = sigma q^P' prod_n [n]^F[n]: e_d is the sum
+    of F[n] over the multiples n of d (d >= 2), and
+    P = P' + sum_n F[n] (1 - n) = P' - sum_d e_d totient(d).  The Phi_d
+    exponents are thus a view derived from the row; the monomial checks
+    every entry as it is built."""
+    sigma, P, groups = row
+    exps = {}
+    for f, g in groups:
+        for n in g:
+            qn = qint_monomial(n)
+            P += f * qn.P
+            for d in qn.exps.indices():
+                exps[d] = exps.get(d, 0) + f
+    return CycloMonomial(sigma, P, exps)
 
 
 def grouped(sigma, P, F):

@@ -8,7 +8,8 @@ the edge order (AB, AC, BC, CD, BD, AD).
 
 The partition sum ranges over level-admissible colorings of the
 interior edges.  Each tetrahedron contributes its 6j amplitude at
-h = k + 2, read from a SixJTable: congruent tetrahedra (same labels up
+h = k + 2 times the tetrahedral phase (-1)^{(tj1+...+tj6)/2}; the
+amplitude is read from a SixJTable: congruent tetrahedra (same labels up
 to the 24 tetrahedral symmetries) share one canonical key, which the
 table's DCRCache compiles once and its value memo projects once per
 context.  Compilation cost thus scales with the number of distinct
@@ -228,12 +229,14 @@ class TVStats:
 def tv_partition(tri, k, bits=None, weights=True, cache=None):
     """Partition sum over admissible colorings at level k.
 
-    Each coloring contributes prod_edges [tj+1]_q * prod_tets (6j
-    amplitude at h = k+2); the total is scaled by A^{-num_vertices}
-    with A = sum_{tj=0}^{k} [tj+1]_q^2.  weights=False drops the edge
-    factors (and the normalization stays), for the bare form of the
-    sum.  bits=None computes in double precision, otherwise in
-    extended precision with that many bits, sums and products included.
+    Each coloring contributes prod_edges [tj+1]_q * prod_tets
+    (-1)^{(tj1+...+tj6)/2} (6j amplitude at h = k+2), the half sum
+    rounded down as in the pentagon phase of identity_checks; the total
+    is scaled by A^{-num_vertices} with A = sum_{tj=0}^{k} [tj+1]_q^2.
+    weights=False drops the edge factors (and the normalization stays),
+    for the bare form of the sum.  bits=None computes in double
+    precision, otherwise in extended precision with that many bits, sums
+    and products included.
 
     Returns (value, TVStats).
     """
@@ -255,7 +258,10 @@ def tv_partition(tri, k, bits=None, weights=True, cache=None):
                 for e in tri.edges:
                     term = term * qdim[coloring[e]]
             for tet in tri.tetrahedra:
-                term = term * table.sixj(coloring[e] for e in tet)
+                tjs = [coloring[e] for e in tet]
+                term = term * table.sixj(tjs)
+                if sum(tjs) // 2 % 2:
+                    term = -term
             total = total + term
         total = total * norm
     stats = TVStats(num_colorings=colorings,

@@ -5,14 +5,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qcyclo import qfactor
+from qcyclo import monomial, qfactor
 from qcyclo.compiler import (TRIADS, AdmissibilityError, AffineForm,
                              PhasePoly, SeriesDescriptor, SixJLabels, bounds,
                              compile_series, compile_sixj, dcr_from_json,
                              dcr_to_json, ratio_monomial, series_from_sixj,
                              sixj_descriptor, triangle_admissible)
 from qcyclo.monomial import CycloMonomial, div, mul
-from qcyclo.qfactor import fold, qfact_monomial
+from qcyclo.qfactor import fold, qfact_monomial, qint_monomial, unfold
 
 from conftest import all_admissible_sixj
 
@@ -41,6 +41,21 @@ def seeded_labels(count, max_tj, seed):
         if all(triangle_admissible(*(tj[i] for i in t)) for t in TRIADS):
             out.append(SixJLabels(*tj))
     return out
+
+
+def ratio_oracle(desc, z):
+    """R_z from the factorial steps: (n+1)!/n! = [n+1] and
+    (n-1)!/n! = 1/[n], times q to the phase step and the series sign."""
+    m = CycloMonomial(-1 if desc.alternating else 1,
+                      desc.phase.at(z + 1) - desc.phase.at(z))
+    for args, up, down in ((desc.num_args, mul, div),
+                           (desc.den_args, div, mul)):
+        for arg in args:
+            if arg.c1 == 1:
+                m = up(m, qint_monomial(arg.at(z) + 1))
+            elif arg.c1 == -1:
+                m = down(m, qint_monomial(arg.at(z)))
+    return m
 
 
 def sixj_strategy(max_tj=None):
@@ -165,6 +180,46 @@ class TestRows:
             assert dcr.rows == tuple(map(fold, monos))
             assert dcr_from_json(dcr_to_json(dcr)).rows == dcr.rows
 
+    def test_rows_unfold_to_their_monomials(self):
+        # every ratio row unfolds to the factorial-step quotient, and the
+        # base, root and rad rows to the monomials they were folded from
+        for labels in seeded_labels(300, 120, 7):
+            series = series_from_sixj(sixj_descriptor(labels))
+            self.check_unfolds(series, compile_series(series))
+        self.check_unfolds(GENERAL, compile_series(GENERAL))
+
+    @staticmethod
+    def check_unfolds(series, dcr):
+        want = [ratio_oracle(series, z) for z in range(dcr.z_min, dcr.z_max)]
+        assert [unfold(row) for row in dcr.rows[1:-2]] == want
+        assert list(dcr.ratios) == want
+        for m, row in zip((dcr.base, dcr.root, dcr.rad),
+                          (dcr.rows[0], *dcr.rows[-2:])):
+            assert unfold(row) == m
+
+    def test_compile_builds_no_ratio_monomial(self, monkeypatch):
+        # with the factorial cache warm, a compile constructs as many
+        # exponent vectors for 10 ratios as for 145
+        built = []
+        real = monomial.ExponentVector.__init__
+
+        def counting(self, entries=None):
+            built.append(entries)
+            real(self, entries)
+
+        def constructions(labels):
+            compile_sixj(labels)
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(monomial.ExponentVector, "__init__", counting)
+                dcr = compile_sixj(labels)
+            return len(built), len(dcr.rows) - 3
+
+        small = constructions(SixJLabels(*(20,) * 6))
+        large = constructions(SixJLabels(308, 305, 307, 319, 320, 304))
+        assert (small[1], large[1]) == (10, 145)
+        assert small[0] == large[0]
+
     def test_general_ratio_row(self):
         # R_z = q^(4z-1) [z+3] [12-z] / ([9-z] [z+1] [z]): s_n to the power
         # of [n], s_1 to minus their sum, and P' the phase step 4z - 1;
@@ -224,6 +279,16 @@ class TestSerialization:
         obj = json.loads(dcr_to_json(compile_sixj(ALL_ONES)))
         obj["d_max"] -= 1
         with pytest.raises(ValueError, match="d_max"):
+            dcr_from_json(json.dumps(obj))
+        # so is a term range that does not match the ratios: one too
+        # long for the two ratios of (4,)*6, or one that runs backwards
+        obj = json.loads(dcr_to_json(compile_sixj(SixJLabels(*(4,) * 6))))
+        assert len(obj["ratios"]) == 2
+        obj["z_max"] += 3
+        with pytest.raises(ValueError, match="ratios"):
+            dcr_from_json(json.dumps(obj))
+        obj["ratios"], obj["z_max"] = [], obj["z_min"] - 1
+        with pytest.raises(ValueError, match="ratios"):
             dcr_from_json(json.dumps(obj))
 
 

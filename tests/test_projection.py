@@ -259,6 +259,12 @@ def monomials(max_d=9, avoid=(), max_e=3, max_p=12):
         st.lists(entry, max_size=4))
 
 
+class TestUnfold:
+    @given(monomials())
+    def test_inverts_fold(self, m):
+        assert qfactor.unfold(qfactor.fold(m)) == m
+
+
 class TestProjectMonomial:
     @given(monomials(), monomials())
     def test_homomorphism_double(self, a, b):
@@ -419,6 +425,37 @@ class TestFoldOnce:
             for ctx in ctxs:
                 evaluate(dcr, ctx)
             assert SweepEvaluator(dcr).amplitudes(qs).shape == qs.shape
+
+
+    def test_evaluate_and_sweep_never_unfold(self, monkeypatch):
+        # projections read the rows alone, vanishing orders included: at
+        # h = 5 the one ratio of the all-ones symbol vanishes, and the
+        # early stop reads that from its row
+        compiled = (compile_sixj(ALL_ONES), compile_sixj(SixJLabels(*(4,) * 6)))
+        dcrs = compiled + tuple(dcr_from_json(dcr_to_json(d)) for d in compiled)
+        ctxs = []
+        for dcr, h in zip(dcrs, (5, 9, 5, 9)):
+            d_max = dcr.d_max
+            ctxs.append((root_of_unity_context(h, ComplexDouble(), d_max),
+                         make_context(ComplexDouble(), d_max, q=cmath.exp(0.7j)),
+                         root_of_unity_context(h, ComplexExtended(256), d_max),
+                         make_context(ComplexExtended(256), d_max,
+                                      q=cmath.exp(0.7j)),
+                         make_context(RootOfUnityExact(h), d_max),
+                         make_context(Classical(), d_max)))
+        assert project_monomial(dcrs[0].ratios[0], ctxs[0][0]) == 0
+        want = [[evaluate(d, c) for c in cs] for d, cs in zip(dcrs, ctxs)]
+        qs = np.concatenate([np.exp(1j * np.linspace(0.1, 3.0, 17)),
+                             np.exp(1j * np.pi / np.arange(3, 20))])
+        sweeps = [SweepEvaluator(d).amplitudes(qs) for d in dcrs]
+
+        def refuse(row):
+            raise AssertionError("unfold called by a projection")
+        monkeypatch.setattr(qfactor, "unfold", refuse)
+        for dcr, cs, values, swept in zip(dcrs, ctxs, want, sweeps):
+            assert [evaluate(dcr, c) for c in cs] == values
+            assert np.array_equal(SweepEvaluator(dcr).amplitudes(qs), swept,
+                                  equal_nan=True)
 
 
 class TestAmplitude:

@@ -17,9 +17,14 @@ from qcyclo.statesum import (DCRCache, Triangulation, admissible_colorings,
                              canonical_sixj, load_triangulation, sixj_images,
                              triangulation_from_json, tv_partition)
 
-from conftest import count_compiles
+from conftest import count_compiles, trig_qint_mp
 
 DATA = importlib.resources.files("qcyclo") / "data"
+
+# S^3 from two tetrahedra on the same six edges of vertices A, B, C, D
+EDGES = ("AB", "AC", "BC", "CD", "BD", "AD")
+CLOSED_S3 = Triangulation(num_vertices=4, edges=EDGES,
+                          tetrahedra=(EDGES, EDGES), boundary={})
 
 # two tetrahedra glued along the ABC face; outer edges fixed
 TWO_TETS = Triangulation(
@@ -269,11 +274,6 @@ class TestPartitionSum:
             v512, _ = tv_partition(tri, 5, bits=512)
             assert abs(v256 - v512) <= mp.mpf(10) ** -60 * abs(v512)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="with fixed boundary colors the exposed normalization "
-               "conventions do not make the weighted sum invariant under "
-               "the 1-4 move; kept as an experimental probe")
     def test_one_four_move_invariance(self):
         one = load_triangulation(str(DATA / "ball_1tet.json"))
         four = load_triangulation(str(DATA / "ball_4tet.json"))
@@ -282,3 +282,15 @@ class TestPartitionSum:
         v4, _ = tv_partition(four, k, bits=256)
         with mp.workprec(256):
             assert abs(v1 - v4) <= 1e-8 * (1 + abs(v1))
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_closed_sphere_is_inverse_total_dimension(self, k):
+        # two tetrahedra glued face to face along all four faces give S^3,
+        # whose invariant is A^{-1}, A = sum_{tj=0}^{k} [tj+1]^2; the two
+        # tetrahedral phases square out, so this checks the normalization
+        v, _ = tv_partition(CLOSED_S3, k, bits=256)
+        with mp.workprec(256):
+            theta = mp.pi / (k + 2)
+            want = 1 / sum(trig_qint_mp(tj + 1, theta) ** 2
+                           for tj in range(k + 1))
+            assert abs(v - want) <= mp.mpf(10) ** -70 * want
