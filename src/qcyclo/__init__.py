@@ -6,7 +6,7 @@ cyclotomic field at a root of unity, or the classical q -> 1 limit.
 """
 
 from .monomial import (CycloMonomial, ExponentVector, IDENTITY, SquareSplit,
-                       div, mul, pow_monomial, sqrt_split)
+                       div, mul, sqrt_split)
 from .qfactor import divisors, qfact_monomial, qint_monomial
 from .compiler import (DCR, AdmissibilityError, AffineForm, PhasePoly,
                        SeriesDescriptor, SixJDescriptor, SixJLabels,

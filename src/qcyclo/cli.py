@@ -5,6 +5,12 @@ Subcommands: compile (emit DCR JSON), eval (single amplitude), sweep
 diagnostics), table (reference-table reproduction with deviation
 columns), tv (partition sum over a triangulation file).
 
+One output path: each command returns its result as data (a Result: a
+table, its JSON object, footer lines and, for a single record, aligned
+`name value` lines), `_render` writes it as --format text, csv or json,
+and `main` writes that once to stdout or --output. compile writes the
+DCR JSON text only, so its --format takes json alone.
+
 Spins are always entered as twice-spins: j = 30 is --spins 60,60,...
 Exit codes: 0 success, 1 internal error or unreadable file, 2 invalid
 usage or inadmissible input (bad triad, pole at the requested root).
@@ -26,7 +32,8 @@ from .compiler import (AdmissibilityError, SixJLabels, compile_sixj,
 from .projection import (ComplexDouble, ComplexExtended, PoleError,
                          ProjectionRangeError, RootOfUnityExact,
                          SweepEvaluator, amplitude_to_complex, evaluate,
-                         classical_project, make_context, unit_circle_q)
+                         classical_project, make_context,
+                         root_of_unity_context)
 
 ENGINES = ("dcr-f64", "dcr-mp", "lse-f64", "lse-mp", "exact", "classical")
 _MP_ENGINES = ("dcr-mp", "lse-mp", "exact")
@@ -64,19 +71,19 @@ def _build_parser():
                     "cyclotomic representation and project it.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spins=True, level=True):
+    def add_common(p, spins=True, level=True, formats=("text", "csv", "json")):
         if spins:
             p.add_argument("--spins", type=_parse_spins, required=True,
                            help="six twice-spins, e.g. 60,60,60,60,60,60 for j=30")
         if level:
             p.add_argument("--level", type=int, required=True,
                            help="level k; evaluation root is h = k + 2")
-        p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
-                       default="text")
+        p.add_argument("--format", dest="fmt", choices=formats,
+                       default=formats[0])
         p.add_argument("--output", help="write to file instead of stdout")
 
     p = sub.add_parser("compile", help="emit the compiled DCR as JSON")
-    add_common(p, level=False)
+    add_common(p, level=False, formats=("json",))
 
     p = sub.add_parser("eval", help="evaluate one amplitude")
     add_common(p)
@@ -104,21 +111,16 @@ def _build_parser():
 
     p = sub.add_parser("table", help="reproduce a reference table")
     p.add_argument("which", choices=("t1", "t3", "t4"))
+    add_common(p, spins=False, level=False)
     p.add_argument("--bits", type=int, default=2048,
                    help="precision of the truth column (t3)")
-    p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
-                   default="text")
-    p.add_argument("--output")
 
     p = sub.add_parser("tv", help="partition sum over a triangulation file")
     p.add_argument("--triangulation", required=True)
-    p.add_argument("--level", type=int, required=True)
+    add_common(p, spins=False)
     p.add_argument("--bits", type=int)
     p.add_argument("--no-weights", dest="weights", action="store_false",
                    help="drop the per-edge quantum-dimension factors")
-    p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
-                   default="text")
-    p.add_argument("--output")
     return top
 
 
@@ -150,25 +152,33 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _rows_to_csv(header, rows, footer=()):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    for line in footer:
-        buf.write("# %s\n" % line)
-    return buf.getvalue()
+class Result:
+    """A formatted command's output: a table (header and rows), its JSON
+    object, footer lines (shown as "# " comments) and, for a single
+    record, the aligned `name value` lines that text shows in place of
+    the table."""
+
+    def __init__(self, header, rows, obj, footer=(), lines=None):
+        self.header, self.rows, self.obj = header, rows, obj
+        self.footer, self.lines = footer, lines
 
 
-def _rows_to_text(header, rows, footer=()):
-    cols = [max(len(str(header[i])), *(len(str(r[i])) for r in rows)) if rows
-            else len(str(header[i])) for i in range(len(header))]
-    lines = ["  ".join(str(h).ljust(c) for h, c in zip(header, cols)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(str(v).ljust(c) for v, c in zip(r, cols)).rstrip())
-    lines.extend(footer)
-    return "\n".join(lines) + "\n"
+def _render(fmt, result):
+    """The text of a command's result in one output format."""
+    if fmt == "json":
+        return json.dumps(result.obj, indent=2) + "\n"
+    footer = ["# " + line for line in result.footer]
+    table = [result.header, *result.rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(table)
+        return buf.getvalue() + "".join(line + "\n" for line in footer)
+    lines = result.lines
+    if lines is None:
+        cols = [max(len(str(v)) for v in col) for col in zip(*table)]
+        lines = ["  ".join(str(v).ljust(c) for v, c in zip(r, cols)).rstrip()
+                 for r in table]
+    return "\n".join([*lines, *footer]) + "\n"
 
 
 def _cx(z):
@@ -176,9 +186,7 @@ def _cx(z):
 
 
 def cmd_compile(args):
-    dcr = compile_sixj(SixJLabels(*args.spins))
-    _emit(args, dcr_to_json(dcr) + "\n")
-    return 0
+    return dcr_to_json(compile_sixj(SixJLabels(*args.spins))) + "\n"
 
 
 def _eval_amplitude(args):
@@ -202,7 +210,7 @@ def _eval_amplitude(args):
                  "r_coeffs": [str(c) for c in out.r.coeffs]}
         return amp, parts, dcr
     tag = ComplexDouble() if args.engine == "dcr-f64" else ComplexExtended(bits)
-    ctx = make_context(tag, dcr.d_max, q=unit_circle_q(h, tag))
+    ctx = root_of_unity_context(h, tag, dcr.d_max)
     out = evaluate(dcr, ctx)
     amp = complex(amplitude_to_complex(out, ctx))
     parts = {"a": _cx(out.a), "r": _cx(out.r)}
@@ -211,32 +219,25 @@ def _eval_amplitude(args):
 
 def cmd_eval(args):
     amp, parts, dcr = _eval_amplitude(args)
-    if args.fmt == "json":
-        obj = {"spins": list(args.spins), "level": args.level,
-               "engine": args.engine, "bits": args.bits,
-               "amplitude": _cx(amp)}
-        if parts is not None and args.parts:
-            obj["parts"] = parts
-        if dcr is not None:
-            obj["dcr"] = json.loads(dcr_to_json(dcr))
-        _emit(args, json.dumps(obj, indent=2) + "\n")
-        return 0
-    if args.fmt == "csv":
-        header = ("spins", "level", "engine", "bits", "amp_re", "amp_im")
-        row = (",".join(map(str, args.spins)), args.level, args.engine,
-               args.bits or "", "%.17e" % amp.real, "%.17e" % amp.imag)
-        _emit(args, _rows_to_csv(header, [row]))
-        return 0
-    lines = ["spins      %s" % ",".join(map(str, args.spins)),
-             "level      %d" % args.level,
-             "engine     %s%s" % (args.engine, " (%d bits)" % args.bits
-                                  if args.bits else ""),
-             "amplitude  %.12e %+.12ej" % (amp.real, amp.imag)]
-    if args.engine == "classical" or (args.parts and parts is not None):
-        for key, val in (parts or {}).items():
-            lines.append("%-10s %s" % (key, val))
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    spins = ",".join(map(str, args.spins))
+    obj = {"spins": list(args.spins), "level": args.level,
+           "engine": args.engine, "bits": args.bits, "amplitude": _cx(amp)}
+    if parts is not None and args.parts:
+        obj["parts"] = parts
+    if dcr is not None and args.fmt == "json":
+        # only JSON shows the DCR, which unfolds every ratio to show it
+        obj["dcr"] = json.loads(dcr_to_json(dcr))
+    header = ("spins", "level", "engine", "bits", "amp_re", "amp_im")
+    row = (spins, args.level, args.engine, args.bits or "",
+           "%.17e" % amp.real, "%.17e" % amp.imag)
+    record = [("spins", spins), ("level", args.level),
+              ("engine", args.engine + (" (%d bits)" % args.bits
+                                        if args.bits else "")),
+              ("amplitude", "%.12e %+.12ej" % (amp.real, amp.imag))]
+    if parts and (args.parts or args.engine == "classical"):
+        record.extend(parts.items())
+    return Result(header, [row], obj,
+                  lines=["%-10s %s" % kv for kv in record])
 
 
 def cmd_diag(args):
@@ -246,19 +247,12 @@ def cmd_diag(args):
     fields = (("kappa", "%.6e"), ("delta_loss", "%.3f"),
               ("gamma_eager", "%.2f"), ("gamma_dcr", "%.2f"),
               ("max_term", "%.6e"), ("abs_sum", "%.6e"), ("value", "%.6e"))
-    if args.fmt == "json":
-        obj = {"spins": list(args.spins), "level": args.level}
-        obj.update({name: getattr(d, name) for name, _ in fields})
-        _emit(args, json.dumps(obj, indent=2) + "\n")
-    elif args.fmt == "csv":
-        header = tuple(name for name, _ in fields)
-        row = tuple(fmt % getattr(d, name) for name, fmt in fields)
-        _emit(args, _rows_to_csv(header, [row]))
-    else:
-        lines = ["%-12s %s" % (name, fmt % getattr(d, name))
-                 for name, fmt in fields]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    obj = {"spins": list(args.spins), "level": args.level}
+    obj.update({name: getattr(d, name) for name, _ in fields})
+    record = [(name, fmt % getattr(d, name)) for name, fmt in fields]
+    names, values = zip(*record)
+    return Result(names, [values], obj,
+                  lines=["%-12s %s" % kv for kv in record])
 
 
 def _sweep_grid(args):
@@ -309,18 +303,12 @@ def cmd_sweep(args):
                              "", "", "ERROR", "%.3f" % (1e6 * dt)))
             proj_s += dt
     header = ("idx", "q_re", "q_im", "amp_re", "amp_im", "status", "usec")
+    obj = {"points": [dict(zip(header, r)) for r in rows],
+           "compile_us": 1e6 * compile_s,
+           "proj_us_per_point": 1e6 * proj_s / len(qs)}
     footer = ["points=%d compile_us=%.1f proj_us_per_point=%.3f"
-              % (len(qs), 1e6 * compile_s, 1e6 * proj_s / len(qs))]
-    if args.fmt == "json":
-        obj = {"points": [dict(zip(header, r)) for r in rows],
-               "compile_us": 1e6 * compile_s,
-               "proj_us_per_point": 1e6 * proj_s / len(qs)}
-        _emit(args, json.dumps(obj, indent=2) + "\n")
-    elif args.fmt == "csv":
-        _emit(args, _rows_to_csv(header, rows, footer))
-    else:
-        _emit(args, _rows_to_text(header, rows, ["# " + footer[0]]))
-    return 0
+              % (len(qs), obj["compile_us"], obj["proj_us_per_point"])]
+    return Result(header, rows, obj, footer)
 
 
 def _table_t3(bits):
@@ -375,15 +363,8 @@ def cmd_table(args):
         header, rows = _table_t1()
     else:
         header, rows = _table_t4()
-    if args.fmt == "json":
-        obj = {"table": args.which,
-               "rows": [dict(zip(header, r)) for r in rows]}
-        _emit(args, json.dumps(obj, indent=2) + "\n")
-    elif args.fmt == "csv":
-        _emit(args, _rows_to_csv(header, rows))
-    else:
-        _emit(args, _rows_to_text(header, rows))
-    return 0
+    return Result(header, rows, {"table": args.which,
+                                 "rows": [dict(zip(header, r)) for r in rows]})
 
 
 def cmd_tv(args):
@@ -397,14 +378,9 @@ def cmd_tv(args):
               ("distinct_classes", stats.distinct_classes),
               ("cache_hits", stats.cache_hits),
               ("cache_misses", stats.cache_misses))
-    if args.fmt == "json":
-        _emit(args, json.dumps(dict(fields), indent=2) + "\n")
-    elif args.fmt == "csv":
-        _emit(args, _rows_to_csv(tuple(k for k, _ in fields),
-                                [tuple(v for _, v in fields)]))
-    else:
-        _emit(args, "\n".join("%-16s %s" % kv for kv in fields) + "\n")
-    return 0
+    names, values = zip(*fields)
+    return Result(names, [values], dict(fields),
+                  lines=["%-16s %s" % kv for kv in fields])
 
 
 _COMMANDS = {"compile": cmd_compile, "eval": cmd_eval, "sweep": cmd_sweep,
@@ -416,7 +392,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        return _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
+        _emit(args, result if isinstance(result, str)
+              else _render(args.fmt, result))
+        return 0
     except (AdmissibilityError, PoleError) as exc:
         print("inadmissible input: %s" % exc, file=sys.stderr)
         return 2

@@ -323,10 +323,17 @@ def dcr_from_json(text):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError("DCR JSON parse error at offset %d: %s" % (exc.pos, exc.msg))
+    if not isinstance(obj, dict):
+        raise ValueError("DCR JSON is not an object")
     missing = [k for k in ("z_min", "z_max", "d_max", "base", "ratios", "root", "rad")
                if k not in obj]
     if missing:
         raise ValueError("DCR JSON missing keys: %s" % ", ".join(missing))
+    for key in ("z_min", "z_max", "d_max"):
+        if not isinstance(obj[key], int):
+            raise ValueError("DCR JSON field %s must be an integer" % key)
+    if not isinstance(obj["ratios"], list):
+        raise ValueError("DCR JSON field ratios must be a list")
     return DCR(base=CycloMonomial.from_json_dict(obj["base"]),
                ratios=tuple(CycloMonomial.from_json_dict(r) for r in obj["ratios"]),
                root=CycloMonomial.from_json_dict(obj["root"]),

@@ -55,11 +55,13 @@ class CycloField:
         self.n = 2 * h
         self.minpoly = cyclotomic_coeffs(self.n)
         self.degree = len(self.minpoly) - 1
-        # reduction rows: x^k mod Phi_2h for k = degree .. 2*degree-2
+        # reduction rows: x^k mod Phi_2h for k = degree .. top, which covers
+        # both a product (up to x^{2 degree - 2}) and a power (below x^{2h})
+        top = max(2 * self.degree - 2, self.n - 1)
         rows = []
         row = [-c for c in self.minpoly[:-1]]  # x^degree (minpoly is monic)
         rows.append(tuple(row))
-        for _ in range(self.degree - 2):
+        for _ in range(top - self.degree):
             shifted = [0] + row[:-1]
             lead = row[-1]
             row = [s + lead * r for s, r in zip(shifted, rows[0])]
@@ -81,18 +83,8 @@ class CycloField:
             c = [Fraction(0)] * self.degree
             c[k] = Fraction(1)
             return CycloNumber(self, tuple(c))
-        return CycloNumber(self, tuple(Fraction(v) for v in self._red_row(k)))
-
-    def _red_row(self, k):
-        if k - self.degree < len(self._red):
-            return self._red[k - self.degree]
-        # beyond the precomputed table: fold down one step at a time
-        row = list(self._red[-1])
-        for _ in range(k - self.degree - len(self._red) + 1):
-            lead = row[-1]
-            row = [0] + row[:-1]
-            row = [s + lead * r for s, r in zip(row, self._red[0])]
-        return row
+        return CycloNumber(self, tuple(Fraction(v)
+                                       for v in self._red[k - self.degree]))
 
     def q_power(self, P):
         return self.element_from_power(P)

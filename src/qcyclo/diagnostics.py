@@ -164,9 +164,8 @@ def diagnostics_sixj(labels, h, bits=512):
 
 def _gamma_dcr(labels, h, bits=256):
     dcr = compile_sixj(labels)
-    tag = projection.ComplexExtended(bits)
-    ctx = projection.make_context(tag, dcr.d_max,
-                                  q=projection.unit_circle_q(h, tag))
+    ctx = projection.root_of_unity_context(
+        h, projection.ComplexExtended(bits), dcr.d_max)
     # log10|Phi_d(q^2)|: the one-factor monomial through the projection
     lphi = [None, None] + [
         float(mp.log10(abs(projection.project_monomial(
@@ -194,8 +193,7 @@ def _gamma_of(exps, lphi):
 def dcr_eval_sixj(labels, h, tag):
     """Amplitude of the 6j at q = e^{i pi/h} through the compiled path."""
     dcr = compile_sixj(labels)
-    ctx = projection.make_context(tag, dcr.d_max,
-                                  q=projection.unit_circle_q(h, tag))
+    ctx = projection.root_of_unity_context(h, tag, dcr.d_max)
     return projection.amplitude_to_complex(projection.evaluate(dcr, ctx), ctx)
 
 

@@ -76,12 +76,6 @@ class ExponentVector:
         out._e = e
         return out
 
-    def scaled(self, n):
-        out = ExponentVector.__new__(ExponentVector)
-        out._e = {d: _check64(v * n, "exponent e_%d" % d)
-                  for d, v in self._e.items() if v * n != 0}
-        return out
-
     def __eq__(self, other):
         return isinstance(other, ExponentVector) and self._e == other._e
 
@@ -132,13 +126,23 @@ class CycloMonomial:
 
     @staticmethod
     def from_json_dict(obj):
+        """Inverse of to_json_dict; a malformed object raises ValueError
+        naming the field."""
+        if not isinstance(obj, dict):
+            raise ValueError("malformed monomial object: not a JSON object")
         try:
             sigma = obj["sigma"]
             P = obj["P"]
             raw = obj["e"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError("malformed monomial object: missing %s" % exc) from None
-        return CycloMonomial(sigma, P, {int(d): int(v) for d, v in raw.items()})
+        if not isinstance(P, int):
+            raise ValueError("malformed monomial object: P must be an integer")
+        if not (isinstance(raw, dict)
+                and all(isinstance(v, int) for v in raw.values())):
+            raise ValueError("malformed monomial object: e must be an object "
+                             "from index to integer exponent")
+        return CycloMonomial(sigma, P, {int(d): v for d, v in raw.items()})
 
 
 IDENTITY = CycloMonomial()
@@ -154,12 +158,6 @@ def div(a, b):
     return CycloMonomial(a.sigma * b.sigma,
                          _check64(a.P - b.P, "q-power P"),
                          a.exps.merge(b.exps, -1))
-
-
-def pow_monomial(a, n):
-    n = int(n)
-    sigma = a.sigma if n % 2 else 1
-    return CycloMonomial(sigma, _check64(a.P * n, "q-power P"), a.exps.scaled(n))
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,27 @@ def triangulation_from_json(text):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError("malformed triangulation JSON: %s" % exc) from exc
+    if not isinstance(obj, dict):
+        raise ValueError("malformed triangulation object: not a JSON object")
     for key in ("num_vertices", "edges", "tetrahedra", "boundary"):
         if key not in obj:
             raise ValueError("malformed triangulation object: missing %s" % key)
+
+    def names(seq):
+        return isinstance(seq, list) and all(isinstance(n, (str, int))
+                                             for n in seq)
+    for key, ok, what in (
+            ("num_vertices", isinstance(obj["num_vertices"], int),
+             "an integer"),
+            ("edges", names(obj["edges"]), "a list of edge names"),
+            ("tetrahedra", isinstance(obj["tetrahedra"], list)
+             and all(map(names, obj["tetrahedra"])),
+             "a list of lists of edge names"),
+            ("boundary", isinstance(obj["boundary"], dict),
+             "an object from edge name to twice-spin")):
+        if not ok:
+            raise ValueError("malformed triangulation object: %s must be %s"
+                             % (key, what))
     return Triangulation(
         num_vertices=obj["num_vertices"],
         edges=tuple(obj["edges"]),

@@ -152,6 +152,16 @@ class TestCompile:
         assert dcr_from_json(target.read_text()) \
             == compile_sixj(SixJLabels(*[2] * 6))
 
+    def test_format_is_json_only(self, capsys):
+        code, bare, _ = run(capsys, "compile", "--spins", "2,2,2,2,2,2")
+        code_json, out, _ = run(capsys, "compile", "--spins", "2,2,2,2,2,2",
+                                "--format", "json")
+        assert code == code_json == 0 and out == bare
+        for fmt in ("csv", "text"):
+            with pytest.raises(SystemExit) as exc:
+                main(["compile", "--spins", "2,2,2,2,2,2", "--format", fmt])
+            assert exc.value.code == 2
+
 
 class TestSweep:
     def test_single_point_matches_eval(self, capsys):
@@ -273,13 +283,27 @@ class TestTv:
         assert code == 1
         assert "error" in err
 
-    def test_malformed_file_exit_1(self, capsys, tmp_path):
+    @pytest.mark.parametrize("field, value, message", (
+        ("edges", None, "missing"),
+        ("boundary", [1], "boundary"),
+        ("edges", 5, "edges"),
+        ("tetrahedra", [5], "tetrahedra"),
+        ("num_vertices", "4", "num_vertices")),
+        ids=("missing", "boundary", "edges", "tetrahedra", "num_vertices"))
+    def test_malformed_file_exit_1(self, capsys, tmp_path, field, value,
+                                   message):
+        obj = json.loads((DATA / "ball_1tet.json").read_text())
+        if value is None:
+            del obj[field]
+        else:
+            obj[field] = value
         bad = tmp_path / "bad.json"
-        bad.write_text('{"num_vertices": 1}')
-        code, _, err = run(capsys, "tv", "--triangulation", str(bad),
-                           "--level", "3")
-        assert code == 1
-        assert "internal error" in err and "missing" in err
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "tv", "--triangulation", str(bad),
+                             "--level", "3")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert "internal error" in err and message in err
 
     def test_no_weights_flag(self, capsys):
         path = str(DATA / "ball_1tet.json")

@@ -290,6 +290,24 @@ class TestSerialization:
         obj["ratios"], obj["z_max"] = [], obj["z_min"] - 1
         with pytest.raises(ValueError, match="ratios"):
             dcr_from_json(json.dumps(obj))
+        # a wrong-typed field is a ValueError that names it
+        good = json.loads(dcr_to_json(compile_sixj(SixJLabels(*(4,) * 6))))
+        for path, value, field in ((("ratios",), 5, "ratios"),
+                                   (("z_min",), "0", "z_min"),
+                                   (("base",), 5, "monomial"),
+                                   (("ratios", 0), [], "monomial"),
+                                   (("base", "e"), [], "e"),
+                                   (("root", "e"), {"2": "1"}, "e"),
+                                   (("rad", "P"), [], "P")):
+            obj = json.loads(json.dumps(good))
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            with pytest.raises(ValueError, match=field):
+                dcr_from_json(json.dumps(obj))
+        with pytest.raises(ValueError, match="object"):
+            dcr_from_json("5")
 
 
 class TestAffineForm:

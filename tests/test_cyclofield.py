@@ -98,6 +98,16 @@ class TestCycloField:
         assert F.q_power(13) == F.q_power(13 % 10)
         assert F.q_power(-3) == F.q_power(7)
 
+    @pytest.mark.parametrize("h", range(2, 41))
+    def test_power_table_matches_products(self, h):
+        # every class of x^k, k in [-2h, 2h), against q multiplied up
+        # from q^{-2h} = 1
+        F = CycloField(h)
+        acc = F.one
+        for k in range(-2 * h, 2 * h):
+            assert F.element_from_power(k) == acc, k
+            acc = acc * F.q
+
     def test_from_rational_arithmetic(self):
         F = CycloField(4)
         a = F.from_rational(Fraction(3, 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcyclo.monomial import (CycloMonomial, ExponentVector, IDENTITY,
-                             div, mul, pow_monomial, sqrt_split)
+                             div, mul, sqrt_split)
 
 exp_dicts = st.dictionaries(st.integers(min_value=2, max_value=40),
                             st.integers(min_value=-30, max_value=30),
@@ -35,13 +35,6 @@ class TestExponentVector:
         m = a.merge(b, 1)
         assert m.get(2) == 0 and m.get(5) == -1 and m.get(7) == 4
 
-    @given(exp_dicts, st.integers(min_value=-5, max_value=5))
-    def test_scaled(self, d, n):
-        e = ExponentVector(d)
-        s = e.scaled(n)
-        for idx, v in e.items():
-            assert s.get(idx) == n * v
-
     def test_max_index_empty(self):
         assert ExponentVector({}).max_index() == 1
 
@@ -58,13 +51,6 @@ class TestMonomialAlgebra:
     @given(monomials, monomials)
     def test_div_inverts_mul(self, x, y):
         assert div(mul(x, y), y) == x
-
-    @given(monomials, st.integers(min_value=0, max_value=6))
-    def test_pow_is_repeated_mul(self, x, n):
-        acc = IDENTITY
-        for _ in range(n):
-            acc = mul(acc, x)
-        assert pow_monomial(x, n) == acc
 
     @given(monomials)
     def test_sqrt_split_reconstructs(self, g):
