@@ -26,10 +26,16 @@ lattice test on such a table compares integer mantissas, exactly.
 
 A monomial's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f, with one division;
-the identity holds in every ring, so all four arithmetics share it.  A
-DCR carries its rows from when it is built (compiler.DCR): evaluate and
-SweepEvaluator read them alone, orders included, and never a monomial;
-project_monomial folds the one monomial it is given.
+the identity holds in every ring, so all four arithmetics share it.
+Where the extended table is real, on the unit circle and at its roots of
+unity, the product is formed on the entries' integer mantissas with 64
+guard bits and rounded once, so a row is within 0.5 ulp, plus a few
+2^-62 ulp, of the exact product of its own entries.  A complex (off the
+circle) or double table rounds at each product, and the exact and
+classical fields do not round.  A DCR carries its rows from when it is
+built (compiler.DCR): evaluate and SweepEvaluator read them alone,
+orders included, and never a monomial; project_monomial folds the one
+monomial it is given.
 
 Evaluating a DCR walks the ratio chain, stopping at the first ratio of
 positive order, and returns the amplitude as a pair (a, r) meaning
@@ -300,7 +306,14 @@ def _order(row, h):
 
 
 def _project(row, ctx):
-    """Image of the monomial whose row is given."""
+    """Image of the monomial whose row is given: sigma q^P' prod_f
+    (prod_{F_n = f} s_n)^f, zero or a pole where the row's order at the
+    vanishing index is positive or negative.
+
+    On a real extended-precision table the product is rounded once, at
+    ctx.tag.bits (_rounded_row), to within 0.5 ulp plus a few 2^-62 ulp
+    of the exact product of the entries; q^P' and sigma are applied to
+    that.  Every other table multiplies in its own arithmetic."""
     h = ctx.vanishing_index
     if h is not None:
         order = _order(row, h)
@@ -310,14 +323,18 @@ def _project(row, ctx):
             raise PoleError("inadmissible: pole at Phi_%d" % h)
     sigma, P, groups = row
     try:
-        # prod_f (prod_{F_n = f} s_n)^f: one power per exponent, one division
-        num, den = [], []
-        for f, g in groups:
-            g = _product([ctx.s[n] for n in g])
-            (num if f > 0 else den).append(g if abs(f) == 1 else g ** abs(f))
-        out = _product(num, ctx.one)
-        if den:
-            out = out / _product(den)
+        if isinstance(ctx.s[1], mpf):
+            out = _rounded_row(groups, ctx.s, ctx.tag.bits)
+        else:
+            # prod_f (prod_{F_n = f} s_n)^f: one power per exponent, one
+            # division
+            num, den = [], []
+            for f, g in groups:
+                g = _product([ctx.s[n] for n in g])
+                (num if f > 0 else den).append(g if abs(f) == 1 else g ** abs(f))
+            out = _product(num, ctx.one)
+            if den:
+                out = out / _product(den)
         if P:
             out = out * (ctx._field.q_power(P) if ctx._field else ctx.q ** P)
     except (OverflowError, ZeroDivisionError):
@@ -330,6 +347,47 @@ def _project(row, ctx):
         raise ProjectionRangeError("projection left double precision range; "
                                    "use an extended-precision tag")
     return -out if sigma < 0 else out
+
+
+def _rounded_row(groups, s, prec):
+    """prod_f (prod_{F_n = f} s_n)^f over real mpf entries, rounded once,
+    to nearest, to prec bits.
+
+    The two sides of the fraction are formed on the entries' integer
+    mantissas (signs XORed, exponents added), each product cut to its top
+    prec + 64 bits whenever it grows past them, and a group is raised to
+    |f| as an exact integer power.  The quotient is formed on integers to
+    at least prec + 64 bits and rounded once.  A cut loses under
+    2^-(prec + 63) of the value and raising to |f| multiplies that by |f|,
+    so the row is within 0.5 ulp + T 2^-62 ulp of the exact product of
+    its entries, T the number of cuts weighted by the powers that follow
+    them.  A zero denominator raises ZeroDivisionError, as an mpf division
+    does."""
+    wide = prec + 64
+    sides = [(0, 1, 0), (0, 1, 0)]  # numerator, denominator: sign, man, exp
+    for f, g in groups:
+        sign, man, exp = 0, 1, 0
+        for n in g:
+            es, em, ee, _ = s[n]._mpf_
+            man, exp = _cut(man * em, exp + ee, wide)
+            sign ^= es
+        k = abs(f)
+        if k > 1:
+            man, exp = _cut(man ** k, exp * k, wide)
+            sign &= k  # an odd power keeps the sign
+        ps, pm, pe = sides[f < 0]
+        sides[f < 0] = (ps ^ sign, *_cut(pm * man, pe + exp, wide))
+    (ns, nm, ne), (ds, dm, de) = sides
+    shift = max(0, wide + dm.bit_length() - nm.bit_length())
+    man = (nm << shift) // dm
+    return mp.make_mpf(normalize(ns ^ ds, man, ne - de - shift,
+                                 man.bit_length(), prec, "n"))
+
+
+def _cut(man, exp, wide):
+    """man 2^exp with man truncated to its top `wide` bits."""
+    cut = man.bit_length() - wide
+    return (man >> cut, exp + cut) if cut > 0 else (man, exp)
 
 
 def _product(factors, one=None):

@@ -1,6 +1,8 @@
 """Projection layer: the fold rule, monomial images, evaluation, sweeps."""
 
 import cmath
+import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -305,15 +307,86 @@ class TestProjectMonomial:
             project_monomial(CycloMonomial(1, 0, {7: -1}), ctx)
 
     def test_vanishing_and_pole_numeric(self):
-        ctx = root_of_unity_context(7, ComplexDouble(), 9)
-        assert project_monomial(CycloMonomial(1, 3, {7: 2, 4: 1}), ctx) == 0
-        with pytest.raises(PoleError):
-            project_monomial(CycloMonomial(-1, 0, {7: -1, 3: 2}), ctx)
+        for tag in (ComplexDouble(), ComplexExtended(256)):
+            ctx = root_of_unity_context(7, tag, 9)
+            assert project_monomial(CycloMonomial(1, 3, {7: 2, 4: 1}), ctx) == 0
+            with pytest.raises(PoleError):
+                project_monomial(CycloMonomial(-1, 0, {7: -1, 3: 2}), ctx)
 
     def test_index_beyond_context(self):
         ctx = make_context(Classical(), 6)
         with pytest.raises(ValueError):
             project_monomial(CycloMonomial(1, 0, {8: 1}), ctx)
+
+
+@functools.cache
+def circle_context(bits, d_max, lattice):
+    """Extended context at the generic q = e^{0.81 i}, or at the root of
+    unity e^{3 pi i/7}, where s_7, s_14, ... take their limits."""
+    with mp.workprec(bits):
+        q = mp.expjpi(mpf(3) / 7) if lattice else mp.expj(mpf("0.81"))
+    return make_context(ComplexExtended(bits), d_max, q=q)
+
+
+class TestRoundedRow:
+    """A row over a real extended-precision table is rounded once: it is
+    within 0.51 ulp of the product of its own table entries formed at 16
+    times the bits.  At a root of unity a row of positive order is an
+    exact zero and one of negative order a pole, as before."""
+
+    BITS = (53, 128, 256, 2048)
+    SIXJ = (SixJLabels(10, 10, 10, 10, 10, 10),
+            SixJLabels(40, 44, 36, 50, 30, 42))
+
+    @staticmethod
+    def check(row, ctx):
+        """Checks the row's image, its q^P' dropped; True when it was
+        compared and read a limit."""
+        sigma, _, groups = row
+        row, bits, h = (sigma, 0, groups), ctx.tag.bits, ctx.vanishing_index
+        order = sum(f for f, g in groups for n in g if h and n % h == 0)
+        with mp.workprec(bits):
+            if order < 0:
+                with pytest.raises(PoleError):
+                    projection._project(row, ctx)
+                return False
+            got = projection._project(row, ctx)
+        if order > 0:
+            assert got == 0
+            return False
+        with mp.workprec(16 * bits):
+            want = mpf(sigma)
+            for f, g in groups:
+                for n in g:
+                    want *= ctx.s[n] ** f
+            assert abs(got - want) <= mpf("0.51") * mpf(2) ** (mp.mag(got) - bits)
+        return any(n % h == 0 for _, g in groups for n in g) if h else False
+
+    @pytest.mark.parametrize("lattice", (False, True), ids=("generic", "h7"))
+    @pytest.mark.parametrize("bits", BITS)
+    @given(m=monomials(max_d=15))
+    def test_monomial_rows(self, bits, lattice, m):
+        self.check(qfactor.fold(m), circle_context(bits, 15, lattice))
+
+    @pytest.mark.parametrize("lattice", (False, True), ids=("generic", "h7"))
+    @pytest.mark.parametrize("bits", BITS)
+    def test_sixj_rows(self, bits, lattice):
+        limits = []
+        for labels in self.SIXJ:
+            dcr = compile_sixj(labels)
+            ctx = circle_context(bits, dcr.d_max, lattice)
+            limits += [self.check(row, ctx) for row in dcr.rows]
+        assert any(limits) == lattice
+
+    def test_zero_entry(self):
+        # no context builds a zero entry off its vanishing index, but one
+        # gives an exact zero in the numerator and ZeroDivisionError in the
+        # denominator, as mpf arithmetic does
+        ctx = circle_context(128, 9, False)
+        ctx = dataclasses.replace(ctx, s=[*ctx.s[:5], mpf(0), *ctx.s[6:]])
+        assert projection._project((1, 0, ((1, (5,)), (-1, (1,)))), ctx) == 0
+        with pytest.raises(ZeroDivisionError):
+            projection._project((1, 0, ((1, (1,)), (-1, (5,)))), ctx)
 
 
 def manual_series_amplitude(dcr, ctx, bits):
