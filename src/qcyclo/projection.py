@@ -18,30 +18,32 @@ limit is the case a = 0, h = 1.  lattice_order decides when a numeric q
 is such a root.
 
 In double the unit-circle table is math.sin(n theta).  In extended
-precision it follows from the unit x = q/|q|, or x = e^{i pi a/h} at a
-root of unity, by the Chebyshev recurrence s_{n+1} = 2 cos(theta) s_n -
-s_{n-1} on fixed-point integers carried with guard bits, and each entry
-is rounded once, so every entry is within an ulp of its sine.  The
-lattice test on such a table compares integer mantissas, exactly.
+precision it is fixed point: the integers S_n ~ sin(n theta) 2^W, W the
+bits plus guard bits, of the Chebyshev recurrence S_{n+1} = 2 cos(theta)
+S_n - S_{n-1} from the unit x = q/|q|, or x = e^{i pi a/h} at a root of
+unity, where a vanishing entry is its limit (-1)^{an/h} n 2^W exactly.
+No entry is rounded, every entry is within 2^-bits of its sine,
+relative, and the lattice test on such a table compares integers,
+exactly.
 
 A monomial's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f, with one division;
 the identity holds in every ring, so all four arithmetics share it.
-Where the extended table is real, on the unit circle and at its roots of
-unity, the product is formed on the entries' integer mantissas with 64
-guard bits and rounded once, so a row is within 0.5 ulp, plus a few
-2^-62 ulp, of the exact product of its own entries.  A complex (off the
-circle) or double table rounds at each product, and the exact and
-classical fields do not round.  A DCR carries its rows from when it is
-built (compiler.DCR): evaluate and SweepEvaluator read them alone,
-orders included, and never a monomial; project_monomial folds the one
-monomial it is given.
+Where the extended table is fixed point, on the unit circle and at its
+roots of unity, the product is formed on its integers with 64 guard bits
+and rounded once, so a row is within 0.5 ulp, plus a few 2^-62 ulp, of
+the exact product of its own entries.  A complex (off the circle) or
+double table rounds at each product, and the exact and classical fields
+do not round.  A DCR carries its rows from when it is built
+(compiler.DCR): evaluate and SweepEvaluator read them alone, orders
+included, and never a monomial; project_monomial folds the one monomial
+it is given.
 
-Evaluating a DCR walks the ratio chain, stopping at the first ratio of
-positive order, and returns the amplitude as a pair (a, r) meaning
-a * sqrt(r).  For a 6j symbol every monomial folds to P' = 0, so on the
-unit circle a, r and root are real and the prefactor branch is decided
-by exact signs.
+Evaluating a DCR walks the ratio chain by each term's running vanishing
+order, adding the terms of order zero, and returns the amplitude as a
+pair (a, r) meaning a * sqrt(r).  For a 6j symbol every monomial folds
+to P' = 0, so on the unit circle a, r and root are real and the
+prefactor branch is decided by exact signs.
 """
 
 import cmath
@@ -122,13 +124,19 @@ class ClassicalValue:
 @dataclass(frozen=True, eq=False)
 class ProjectionContext:
     """Immutable bundle: field tag, q, and the table s[n], n = 1..d_max,
-    with the vanishing entries already replaced by their limits."""
+    with the vanishing entries already replaced by their limits.
+
+    An extended-precision table on the unit circle or at its roots of
+    unity is fixed point: s[n] is the integer S_n ~ sin(n theta) 2^scale,
+    and scale is None for every other table, whose entries are values of
+    the arithmetic itself."""
     tag: object
     q: object
     s: list
     one: object
     d_max: int
     vanishing_index: int = None
+    scale: int = None
     _field: CycloField = None
 
 
@@ -142,39 +150,29 @@ def unit_circle_q(h, tag):
     raise ValueError("unit_circle_q applies to numeric tags only")
 
 
-def lattice_order(sines, u):
+def lattice_order(sines, u, scale=None):
     """Order h of the root of unity e^{i pi a/h} that q = e^{i theta} is,
     to the roundoff u of the precision q was given in, or 0.
 
     sines[..., n - 1] = sin(n theta) for n = 1..n_max; leading axes of a
-    float array are independent points, and a list of mpf values is one
-    point.  The test is |sin(n theta)| <= 64 n u, the roundoff of forming
-    sin(n theta) from a rounded q, and h is the first n that passes.  On
-    mpf values it is decided exactly on their integer mantissas, so it
-    holds below double range too."""
-    if len(sines) and isinstance(sines[0], mpf):
-        return _lattice_order_mpf(sines, mpf(u)._mpf_)
+    float array are independent points.  Given a scale W, sines is one
+    point's fixed-point table, integers S_n ~ sin(n theta) 2^W.  The test
+    is |sin(n theta)| <= 64 n u, the roundoff of forming sin(n theta) from
+    a rounded q, and h is the first n that passes.  On a fixed-point table
+    it is |S_n| <= 64 n u 2^W, decided exactly on integers for any binary
+    u, so it holds below double range too."""
+    if scale is not None:
+        mu, eu = mp.convert(u).man_exp  # u = mu 2^eu, exactly
+        shift = eu + scale + 6  # 64 n u 2^W = n mu 2^shift
+        for n, v in enumerate(sines, 1):
+            if (abs(v) <= (n * mu) << shift if shift >= 0
+                    else abs(v) << -shift <= n * mu):
+                return n
+        return 0
     sines = np.asarray(sines)
     n = np.arange(1, sines.shape[-1] + 1)
     hit = np.asarray(abs(sines) <= 64 * n * u, dtype=bool)
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, 0)
-
-
-def _lattice_order_mpf(sines, u):
-    # |m| 2^e <= 64 n mu 2^eu, for s_n = m 2^e and u = mu 2^eu; an entry
-    # with 2^(e + bc - 1) > 64 n u (bit counts alone) is no hit
-    _, mu, eu, bcu = u
-    for n, v in enumerate(sines, 1):
-        _, m, e, bc = v._mpf_
-        if not m:
-            return n
-        shift = e - eu - 6
-        if shift + bc - 1 >= bcu + n.bit_length():
-            continue
-        if (m << shift <= n * mu if shift >= 0
-                else m <= (n * mu) << -shift):
-            return n
-    return 0
 
 
 def _on_circle(q, u):
@@ -188,70 +186,81 @@ def _take_limits(s, a, h, one):
     return s
 
 
-def _guarded_sines(root, d_max, sin_mag):
-    """[None, sin theta, ..., sin(d_max theta)] for the unit x = root() =
-    e^{i theta}, in mpmath at working precision; sin_mag is log2|sin theta|
-    rounded up, as mp.mag gives it.
+def _guarded_sines(x, d_max, scale):
+    """[None, S_1, ..., S_{d_max}], S_n the integer nearest sin(n theta)
+    2^scale to within a few units, for the unit x = e^{i theta} given at
+    scale bits.
 
-    x is formed with guard bits, and the entries follow from the Chebyshev
-    recurrence s_{n+1} = 2 cos(theta) s_n - s_{n-1} on fixed-point integer
-    mantissas, one big-int product each.  A rounding error made at step k
-    reaches entry n multiplied by sin((n - k) theta)/sin(theta), so the
-    guard is 2 log2(d_max) + 10 bits plus -log2|sin theta|; each entry is
-    then rounded once, to nearest, to within an ulp of sin(n theta)."""
-    prec = mp.prec
-    guard = 2 * d_max.bit_length() + 10 + max(0, -sin_mag)
-    wide = prec + guard
-    with mp.workprec(wide):
-        x = root()
-    two_cos = to_fixed(x.real._mpf_, wide + 1)
-    half = 1 << (wide - 1)
-    prev, cur, s = 0, to_fixed(x.imag._mpf_, wide), [None]
+    The entries follow from the Chebyshev recurrence S_{n+1} = 2 cos(theta)
+    S_n - S_{n-1} on these fixed-point integers, one big-int product each.
+    A rounding error made at step k reaches entry n multiplied by
+    sin((n - k) theta)/sin(theta), so make_context takes scale = bits +
+    2 log2(d_max) + 10 + max(0, -log2|sin theta|): every entry is then
+    within 2^-bits of sin(n theta), relative, and no entry is rounded."""
+    two_cos = to_fixed(x.real._mpf_, scale + 1)
+    half = 1 << (scale - 1)
+    prev, cur, s = 0, to_fixed(x.imag._mpf_, scale), [None]
     for _ in range(d_max):
-        m = abs(cur)
-        s.append(mp.make_mpf(normalize(int(cur < 0), m, -wide, m.bit_length(),
-                                       prec, "n")))
-        prev, cur = cur, ((two_cos * cur + half) >> wide) - prev
+        s.append(cur)
+        prev, cur = cur, ((two_cos * cur + half) >> scale) - prev
     return s
 
 
-def _numeric_table(q, d_max, u, one):
-    """(q, s, h): q moved onto the unit circle, or onto the root of unity
-    e^{i pi a/h} it lies on to roundoff, the table s, and h or None.
+def _powers_table(q, d_max, one):
+    """[None, q - 1/q, ..., q^d_max - q^-d_max], the table off the circle."""
+    s, qn = [None], one
+    for _ in range(d_max):
+        qn = qn * q
+        s.append(qn - 1 / qn)
+    return s
 
-    On the circle s_n = sin(n theta), formed by math.sin in double and in
-    mpmath by _guarded_sines, the recurrence from x = q/|q|; lattice_order
-    then tests that table, and at e^{i pi a/h} the table is formed again
-    from the exact angle pi a/h."""
-    if not _on_circle(q, u):
-        s, qn = [None], one
-        for _ in range(d_max):
-            qn = qn * q
-            s.append(qn - 1 / qn)
-        return q, s, None
-    extended = isinstance(one, mpf)
-    # a double angle serves the extended table too: it only rounds h theta/pi
-    theta = cmath.phase(complex(q))
-    if extended:
-        # |q| is 1 to roundoff, so q.imag bounds sin(theta); an exact 0
-        # (q = +-1) is the lattice point h = 1, whose entries all vanish
-        sin_mag = mp.mag(q.imag) if q.imag else 0
-        s = _guarded_sines(lambda: q / abs(q), d_max, sin_mag)
-    else:
-        s = [None] + [math.sin(n * theta) for n in range(1, d_max + 1)]
-    h = int(lattice_order(s[1:], u))
+
+def _double_table(q, d_max):
+    """(q, s, h) in double: q moved onto the unit circle, or onto the root
+    of unity e^{i pi a/h} it lies on to roundoff, the table s, and h or
+    None.  On the circle s_n = math.sin(n theta); lattice_order tests that
+    table, and at e^{i pi a/h} it is formed again from the exact angle."""
+    if not _on_circle(q, _U_DOUBLE):
+        return q, _powers_table(q, d_max, 1.0), None
+    theta = cmath.phase(q)
+    s = [None] + [math.sin(n * theta) for n in range(1, d_max + 1)]
+    h = int(lattice_order(s[1:], _U_DOUBLE))
     if not h:
         return q / abs(q), s, None
     a = round(h * theta / math.pi)
-    if extended:
-        s = _guarded_sines(lambda: mp.expjpi(mpf(a) / h), d_max, sin_mag)
-        q = mp.expjpi(one * a / h)
-    else:
-        # sin(pi a n / h), the argument reduced exactly
-        s = [None] + [math.sin(math.pi * (a * n % (2 * h)) / h)
-                      for n in range(1, d_max + 1)]
-        q = cmath.exp(1j * math.pi * a / h)
-    return q, _take_limits(s, a, h, one), h
+    # sin(pi a n / h), the argument reduced exactly
+    s = [None] + [math.sin(math.pi * (a * n % (2 * h)) / h)
+                  for n in range(1, d_max + 1)]
+    return cmath.exp(1j * math.pi * a / h), _take_limits(s, a, h, 1.0), h
+
+
+def _extended_table(q, d_max, u, bits):
+    """(q, s, h, W) at bits: as _double_table, and off the circle an mpc
+    table with W None.  On the circle s is the fixed-point table of
+    _guarded_sines at scale W, from x = q/|q| formed once at W bits, or
+    from x = e^{i pi a/h} at a root of unity, whose vanishing entries take
+    their limits (-1)^{an/h} n 2^W exactly; the q returned is x rounded
+    to bits."""
+    # |q| is 1 to roundoff on the circle, so q.imag bounds sin(theta); an
+    # exact 0 (q = +-1) is the lattice point h = 1, whose entries all vanish
+    sin_mag = mp.mag(q.imag) if q.imag else 0
+    W = bits + 2 * d_max.bit_length() + 10 + max(0, -sin_mag)
+    with mp.workprec(W):
+        r = abs(q)
+        if not _on_circle(r, u):
+            with mp.workprec(bits):
+                return q, _powers_table(q, d_max, mpf(1)), None, None
+        x = q / r
+    s = _guarded_sines(x, d_max, W)
+    h = lattice_order(s[1:], u, W)
+    if h:
+        # a double angle serves: it only rounds h theta/pi
+        a = round(h * cmath.phase(complex(x)) / math.pi)
+        with mp.workprec(W):
+            x = mp.expjpi(mpf(a) / h)
+        s = _take_limits(_guarded_sines(x, d_max, W), a, h, 1 << W)
+    with mp.workprec(bits):
+        return +x, s, h or None, W
 
 
 def make_context(tag, d_max, q=None):
@@ -262,13 +271,14 @@ def make_context(tag, d_max, q=None):
         if q == 0:
             raise ValueError("q must be nonzero")
         if isinstance(tag, ComplexDouble):
-            q, s, h = _numeric_table(complex(q), d_max, _U_DOUBLE, 1.0)
+            q, s, h = _double_table(complex(q), d_max)
             return ProjectionContext(tag, q, s, 1.0, d_max, h)
         u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
             else mpf(2) ** -tag.bits
         with mp.workprec(tag.bits):
-            q, s, h = _numeric_table(mpc(q), d_max, u, mpf(1))
-        return ProjectionContext(tag, q, s, mpf(1), d_max, h)
+            q = mpc(q)
+        q, s, h, W = _extended_table(q, d_max, u, tag.bits)
+        return ProjectionContext(tag, q, s, mpf(1), d_max, h, W)
     if isinstance(tag, RootOfUnityExact):
         fld, h = CycloField(tag.h), tag.h
         s = [None] + [fld.element_from_power(n) - fld.element_from_power(-n)
@@ -306,14 +316,9 @@ def _order(row, h):
 
 
 def _project(row, ctx):
-    """Image of the monomial whose row is given: sigma q^P' prod_f
-    (prod_{F_n = f} s_n)^f, zero or a pole where the row's order at the
-    vanishing index is positive or negative.
-
-    On a real extended-precision table the product is rounded once, at
-    ctx.tag.bits (_rounded_row), to within 0.5 ulp plus a few 2^-62 ulp
-    of the exact product of the entries; q^P' and sigma are applied to
-    that.  Every other table multiplies in its own arithmetic."""
+    """Image of the monomial whose row is given: zero or a pole where the
+    row's order at the vanishing index is positive or negative, and
+    otherwise _image."""
     h = ctx.vanishing_index
     if h is not None:
         order = _order(row, h)
@@ -321,10 +326,22 @@ def _project(row, ctx):
             return ctx.one * 0
         if order < 0:
             raise PoleError("inadmissible: pole at Phi_%d" % h)
+    return _image(row, ctx)
+
+
+def _image(row, ctx):
+    """sigma q^P' prod_f (prod_{F_n = f} s_n)^f over the table, every
+    vanishing s_n at its limit: the row's image where its order is zero,
+    whatever that order is.
+
+    On a fixed-point table the product is rounded once, at ctx.tag.bits
+    (_rounded_row), to within 0.5 ulp plus a few 2^-62 ulp of the exact
+    product of the entries; q^P' and sigma are applied to that.  Every
+    other table multiplies in its own arithmetic."""
     sigma, P, groups = row
     try:
-        if isinstance(ctx.s[1], mpf):
-            out = _rounded_row(groups, ctx.s, ctx.tag.bits)
+        if ctx.scale is not None:
+            out = _rounded_row(groups, ctx.s, ctx.scale, ctx.tag.bits)
         else:
             # prod_f (prod_{F_n = f} s_n)^f: one power per exponent, one
             # division
@@ -349,43 +366,46 @@ def _project(row, ctx):
     return -out if sigma < 0 else out
 
 
-def _rounded_row(groups, s, prec):
-    """prod_f (prod_{F_n = f} s_n)^f over real mpf entries, rounded once,
-    to nearest, to prec bits.
+def _rounded_row(groups, s, scale, prec):
+    """prod_f (prod_{F_n = f} s_n)^f over a fixed-point table, s_n = S_n
+    2^-scale with S_n an integer, rounded once, to nearest, to prec bits.
 
-    The two sides of the fraction are formed on the entries' integer
-    mantissas (signs XORed, exponents added), each product cut to its top
-    prec + 64 bits whenever it grows past them, and a group is raised to
-    |f| as an exact integer power.  The quotient is formed on integers to
-    at least prec + 64 bits and rounded once.  A cut loses under
+    The two sides of the fraction are formed on the integers themselves,
+    each factor adding -scale to the exponent, and each product is cut to
+    its top prec + 64 bits whenever it grows past them; a group is raised
+    to |f| as an exact integer power.  The quotient is formed on integers
+    to at least prec + 64 bits and rounded once.  A cut loses under
     2^-(prec + 63) of the value and raising to |f| multiplies that by |f|,
     so the row is within 0.5 ulp + T 2^-62 ulp of the exact product of
     its entries, T the number of cuts weighted by the powers that follow
     them.  A zero denominator raises ZeroDivisionError, as an mpf division
     does."""
     wide = prec + 64
-    sides = [(0, 1, 0), (0, 1, 0)]  # numerator, denominator: sign, man, exp
+    sides = [(1, 0), (1, 0)]  # numerator, denominator: signed man, exp
     for f, g in groups:
-        sign, man, exp = 0, 1, 0
+        man, exp = 1, -scale * len(g)
         for n in g:
-            es, em, ee, _ = s[n]._mpf_
-            man, exp = _cut(man * em, exp + ee, wide)
-            sign ^= es
+            man *= s[n]
+            cut = man.bit_length() - wide
+            if cut > 0:
+                man >>= cut
+                exp += cut
         k = abs(f)
         if k > 1:
             man, exp = _cut(man ** k, exp * k, wide)
-            sign &= k  # an odd power keeps the sign
-        ps, pm, pe = sides[f < 0]
-        sides[f < 0] = (ps ^ sign, *_cut(pm * man, pe + exp, wide))
-    (ns, nm, ne), (ds, dm, de) = sides
+        pm, pe = sides[f < 0]
+        sides[f < 0] = _cut(pm * man, pe + exp, wide)
+    (nm, ne), (dm, de) = sides
+    sign = int((nm < 0) != (dm < 0))
+    nm, dm = abs(nm), abs(dm)
     shift = max(0, wide + dm.bit_length() - nm.bit_length())
     man = (nm << shift) // dm
-    return mp.make_mpf(normalize(ns ^ ds, man, ne - de - shift,
+    return mp.make_mpf(normalize(sign, man, ne - de - shift,
                                  man.bit_length(), prec, "n"))
 
 
 def _cut(man, exp, wide):
-    """man 2^exp with man truncated to its top `wide` bits."""
+    """man 2^exp with man cut to its top `wide` bits."""
     cut = man.bit_length() - wide
     return (man >> cut, exp + cut) if cut > 0 else (man, exp)
 
@@ -395,8 +415,16 @@ def _product(factors, one=None):
 
 
 def evaluate(dcr, ctx):
-    """Projected sum with early termination on a vanishing ratio,
-    returned as AmplitudeValue(a = Pi(root) * sum, r = Pi(rad))."""
+    """Projected sum, returned as AmplitudeValue(a = Pi(root) * sum,
+    r = Pi(rad)).
+
+    The ratio chain is walked by each term's running vanishing order, the
+    base row's order plus those of the ratios before it: a term of order
+    zero is added, formed from the rows' images (_image, the vanishing
+    s_n at their limits), one of positive order adds nothing, and one of
+    negative order raises PoleError.  The walk stops once the running
+    order is positive and no later ratio has negative order, since every
+    later term then vanishes."""
     if ctx.d_max < dcr.d_max:
         raise ValueError("context covers d <= %d but DCR needs %d"
                          % (ctx.d_max, dcr.d_max))
@@ -407,16 +435,27 @@ def evaluate(dcr, ctx):
 
 
 def _evaluate_loop(dcr, ctx):
-    h = ctx.vanishing_index
-    term = total = _project(dcr.rows[0], ctx)
-    for row in dcr.rows[1:-2]:
-        if h is not None and _order(row, h) > 0:
-            break  # this ratio vanishes, and every later term contains it
-        term = term * _project(row, ctx)
-        total = total + term
-    root = _project(dcr.rows[-2], ctx)
+    h, rows = ctx.vanishing_index, dcr.rows
+    orders = [_order(row, h) if h else 0 for row in rows[:-2]]
+    # past the last ratio of negative order a running order only grows
+    last_neg = max((i for i, o in enumerate(orders) if o < 0), default=0)
+    order = orders[0]
+    if order < 0:
+        raise PoleError("inadmissible: pole at Phi_%d" % h)
+    term = _image(rows[0], ctx)
+    total = term if order == 0 else ctx.one * 0
+    for i in range(1, len(rows) - 2):
+        order += orders[i]
+        if order < 0:
+            raise PoleError("inadmissible: pole at Phi_%d" % h)
+        if order > 0 and i >= last_neg:
+            break  # this term and every later one vanish
+        term = term * _image(rows[i], ctx)
+        if order == 0:
+            total = total + term
+    root = _project(rows[-2], ctx)
     a = root * total
-    r = _project(dcr.rows[-1], ctx)
+    r = _project(rows[-1], ctx)
     if isinstance(ctx.tag, ComplexDouble):
         for v in (a, r):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -528,15 +567,14 @@ class SweepEvaluator:
             turns = half @ F.T \
                 + np.outer(theta / np.pi, self._P) + self._neg
 
-            # term j = base * ratios 1..j; only the ratios up to the first
-            # one of positive order are projected, and the terms after it
-            # vanish, as do all when the base, root or rad does
-            ratio_order = order[:, 1:1 + R]
-            first = np.hstack([ratio_order > 0,
-                               np.ones((len(qs), 1), bool)]).argmax(axis=1)
-            pole = (order[:, 0] < 0) | (order[:, R + 1:] < 0).any(axis=1) \
-                | ((ratio_order < 0) & (np.arange(R) < first[:, None])).any(axis=1)
-            live = (np.arange(R + 1) <= first[:, None]) & (order[:, :1] <= 0) \
+            # term j = base * ratios 1..j, of running order the base's plus
+            # those of ratios 1..j: it is live at order zero, vanishes at a
+            # positive one and is a pole at a negative one, and all vanish
+            # when the root or rad does
+            term_order = order[:, :1 + R].cumsum(axis=1)
+            pole = (term_order < 0).any(axis=1) \
+                | (order[:, R + 1:] < 0).any(axis=1)
+            live = (term_order == 0) \
                 & (order[:, R + 1:] <= 0).all(axis=1, keepdims=True)
             zeros = np.zeros((len(qs), 1))
             cum_l = np.hstack([zeros, logs[:, 1:1 + R].cumsum(axis=1)])

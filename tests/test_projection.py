@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from qcyclo import projection, qfactor
+from qcyclo.cli import T3_ROWS
 from qcyclo.compiler import (DCR, SixJLabels, compile_sixj, dcr_from_json,
-                             dcr_to_json)
+                             dcr_to_json, triangle_admissible)
 from qcyclo.diagnostics import lse_eval_sixj
 from qcyclo.monomial import CycloMonomial, div, mul
 from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
@@ -170,9 +172,15 @@ class TestContexts:
             make_context("bogus", 8)
 
 
+def entry(ctx, n):
+    """s_n of a fixed-point table, S_n 2^-scale, as an exact mpf."""
+    return mp.make_mpf(from_man_exp(ctx.s[n], -ctx.scale))
+
+
 class TestExtendedSineTable:
-    """Every entry sin(n theta) of an extended context is within two units
-    of 2^-bits, relative, of the sine formed at 2 bits + 64 bits."""
+    """Every entry S_n 2^-W of an extended context's fixed-point table is
+    within two units of 2^-bits, relative, of the sine formed at 2 bits +
+    64 bits."""
 
     @staticmethod
     def assert_close(got, ref, bits):
@@ -190,10 +198,11 @@ class TestExtendedSineTable:
             q = point()
         ctx = make_context(ComplexExtended(bits), d_max, q=q)
         assert ctx.vanishing_index is None
+        assert all(isinstance(v, int) for v in ctx.s[1:])
         with mp.workprec(2 * bits + 64):
             theta = mp.arg(q)
             for n in range(1, d_max + 1):
-                self.assert_close(ctx.s[n], mp.sin(n * theta), bits)
+                self.assert_close(entry(ctx, n), mp.sin(n * theta), bits)
 
     @pytest.mark.parametrize("bits", (128, 2048))
     @pytest.mark.parametrize("h", (7, 11, 61))
@@ -205,27 +214,44 @@ class TestExtendedSineTable:
         with mp.workprec(2 * bits + 64):
             for n in range(1, 3 * h + 1):
                 if n % h:
-                    self.assert_close(ctx.s[n], mp.sin(3 * mp.pi * n / h), bits)
+                    self.assert_close(entry(ctx, n), mp.sin(3 * mp.pi * n / h),
+                                      bits)
                 else:
-                    assert ctx.s[n] == (-1) ** (3 * n // h) * n
+                    # the limit (-1)^{an/h} n, exactly
+                    assert ctx.s[n] == (-1) ** (3 * n // h) * n * 2 ** ctx.scale
+
+
+def as_fraction(v):
+    """A binary float or mpf, exactly."""
+    if not isinstance(v, mpf):
+        return Fraction(v)
+    man, exp = v.man_exp
+    return (-man if v < 0 else man) * Fraction(2) ** exp
 
 
 class TestLatticeOrder:
-    """On mpf values the test |s_n| <= 64 n u is exact, below double range
-    too, where float() would flush both sides to 0."""
+    """On a fixed-point table, integers S_n ~ sin(n theta) 2^W, the test
+    |S_n| <= 64 n u 2^W is decided exactly, for any binary u, below double
+    range too, where float() would flush both sides to 0."""
 
     U = mpf(2) ** -2048
 
     @staticmethod
-    def exact(sines, u):
-        with mp.workprec(4096):
-            return next((n for n, v in enumerate(sines, 1)
-                         if abs(v) <= 64 * n * u), 0)
+    def exact(table, u, scale):
+        u = as_fraction(u)
+        return next((n for n, v in enumerate(table, 1)
+                     if Fraction(abs(v), 2 ** scale) <= 64 * n * u), 0)
 
     def test_below_double_range(self):
-        u, big = self.U, mpf(2) ** -1500
-        assert lattice_order([big] * 5, u) == 0
-        assert lattice_order([big, mpf(0), big], u) == 2
+        # W such that every value below is a whole number of 2^-W
+        u, W = self.U, 4200
+
+        def fixed(values):
+            return [int(as_fraction(v) * 2 ** W) for v in values]
+
+        big = mpf(2) ** -1500
+        assert lattice_order(fixed([big] * 5), u, W) == 0
+        assert lattice_order(fixed([big, mpf(0), big]), u, W) == 2
         for n in range(1, 6):
             with mp.workprec(2048):
                 edge = 64 * n * u
@@ -233,22 +259,38 @@ class TestLatticeOrder:
                 cases = ((edge, n), (-edge, n), (edge / 3, n),
                          (above, 0), (-above, 0))
             for v, hit in cases:
-                sines = [big] * 5
-                sines[n - 1] = v
-                assert lattice_order(sines, u) == hit == self.exact(sines, u)
+                values = [big] * 5
+                values[n - 1] = v
+                table = fixed(values)
+                assert as_fraction(v) * 2 ** W == table[n - 1]
+                assert lattice_order(table, u, W) == hit \
+                    == self.exact(table, u, W)
 
-    @pytest.mark.parametrize("u", (mpf(2) ** -2048, mpf(2) ** -256,
-                                   2.0 ** -53, 3 * mpf(2) ** -2050),
-                             ids=("2048", "256", "double", "odd-mantissa"))
-    def test_matches_exact_comparison(self, u):
+    U_CASES = pytest.mark.parametrize(
+        "u", (mpf(2) ** -2048, mpf(2) ** -256, 2.0 ** -53, 3 * mpf(2) ** -2050),
+        ids=("2048", "256", "double", "odd-mantissa"))
+
+    def compare_random_tables(self, u, dw):
+        # tables at W = dw - log2 u, entries about the bound 64 n u 2^W or
+        # far above it
         rng = random.Random(5)
-        with mp.workprec(2048):
-            bound = [64 * n * u for n in range(1, 41)]
-            for _ in range(200):
-                sines = [b * mpf(rng.uniform(-3, 3)) for b in bound]
-                sines = [v if rng.random() < 0.05 else v * 2 ** rng.randint(1, 900)
-                         for v in sines]
-                assert lattice_order(sines, u) == self.exact(sines, u)
+        W = dw - mpf(u).man_exp[1]
+        bound = [64 * n * as_fraction(u) * 2 ** W for n in range(1, 41)]
+        for _ in range(200):
+            table = [round(b * Fraction(rng.uniform(-3, 3))) for b in bound]
+            table = [v if rng.random() < 0.05 else v << rng.randint(1, 900)
+                     for v in table]
+            assert lattice_order(table, u, W) == self.exact(table, u, W)
+
+    @U_CASES
+    def test_matches_exact_comparison(self, u):
+        # the bound is a large integer, as in every context
+        self.compare_random_tables(u, 40)
+
+    @U_CASES
+    def test_coarse_scale_matches_exact_comparison(self, u):
+        # a scale that does not resolve u: the bound is under a few units
+        self.compare_random_tables(u, -9)
 
 
 def monomials(max_d=9, avoid=(), max_e=3, max_p=12):
@@ -329,9 +371,9 @@ def circle_context(bits, d_max, lattice):
 
 
 class TestRoundedRow:
-    """A row over a real extended-precision table is rounded once: it is
-    within 0.51 ulp of the product of its own table entries formed at 16
-    times the bits.  At a root of unity a row of positive order is an
+    """A row over a fixed-point extended-precision table is rounded once:
+    it is within 0.51 ulp of the product of its own table entries, each
+    read exactly as S_n 2^-W, formed at 16 times the bits.  At a root of unity a row of positive order is an
     exact zero and one of negative order a pole, as before."""
 
     BITS = (53, 128, 256, 2048)
@@ -358,7 +400,7 @@ class TestRoundedRow:
             want = mpf(sigma)
             for f, g in groups:
                 for n in g:
-                    want *= ctx.s[n] ** f
+                    want *= entry(ctx, n) ** f
             assert abs(got - want) <= mpf("0.51") * mpf(2) ** (mp.mag(got) - bits)
         return any(n % h == 0 for _, g in groups for n in g) if h else False
 
@@ -383,10 +425,54 @@ class TestRoundedRow:
         # gives an exact zero in the numerator and ZeroDivisionError in the
         # denominator, as mpf arithmetic does
         ctx = circle_context(128, 9, False)
-        ctx = dataclasses.replace(ctx, s=[*ctx.s[:5], mpf(0), *ctx.s[6:]])
+        ctx = dataclasses.replace(ctx, s=[*ctx.s[:5], 0, *ctx.s[6:]])
         assert projection._project((1, 0, ((1, (5,)), (-1, (1,)))), ctx) == 0
         with pytest.raises(ZeroDivisionError):
             projection._project((1, 0, ((1, (1,)), (-1, (5,)))), ctx)
+
+
+def seeded_labels(seed, count, max_tj):
+    """count admissible 6j labels with twice-spins <= max_tj, by rejection
+    from uniform draws."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        t = [rng.randint(0, max_tj) for _ in range(6)]
+        if all(triangle_admissible(t[a], t[b], t[c])
+               for a, b, c in ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))):
+            out.append(SixJLabels(*t))
+    return out
+
+
+class TestExtendedAccuracy:
+    """A realistic 6j at q = e^{i pi/502}, evaluated at 256 and 2048 bits,
+    is within 2^(12 - bits) sum_z |T_z| of its evaluation at 2 bits + 64,
+    T_z the terms of a = root * sum_z T_z."""
+
+    LABELS = [SixJLabels(*(2 * j,) * 6) for j in T3_ROWS] \
+        + seeded_labels(13, 20, 60)
+
+    @staticmethod
+    def reference(dcr, bits):
+        """(a, sum_z |T_z|) at bits."""
+        ctx = root_of_unity_context(502, ComplexExtended(bits), dcr.d_max)
+        with mp.workprec(bits):
+            root = projection._project(dcr.rows[-2], ctx)
+            term = scale = projection._project(dcr.rows[0], ctx)
+            for row in dcr.rows[1:-2]:
+                term *= projection._project(row, ctx)
+                scale += abs(term)
+            return evaluate(dcr, ctx).a, abs(root) * abs(scale)
+
+    @pytest.mark.parametrize("bits", (256, 2048))
+    def test_matches_higher_precision(self, bits):
+        for labels in self.LABELS:
+            dcr = compile_sixj(labels)
+            ctx = root_of_unity_context(502, ComplexExtended(bits), dcr.d_max)
+            assert ctx.vanishing_index is None
+            got = evaluate(dcr, ctx).a
+            want, scale = self.reference(dcr, 2 * bits + 64)
+            with mp.workprec(2 * bits + 64):
+                assert abs(got - want) <= mpf(2) ** (12 - bits) * scale, labels
 
 
 def manual_series_amplitude(dcr, ctx, bits):
@@ -402,8 +488,9 @@ def manual_series_amplitude(dcr, ctx, bits):
 
 
 def project_monomial_chain(dcr, ctx):
-    """evaluate's walk over the ratios, every monomial projected by
-    project_monomial, which folds it afresh."""
+    """A 6j symbol's walk over the ratios, up to the first of positive
+    order, every monomial projected by project_monomial, which folds it
+    afresh."""
     h = ctx.vanishing_index
     bits = ctx.tag.bits if isinstance(ctx.tag, ComplexExtended) else mp.prec
     with mp.workprec(bits):

@@ -4,17 +4,17 @@ compile_series and evaluated, against project_monomial of that monomial."""
 
 import cmath
 
-from hypothesis import given, strategies as st
+import numpy as np
+from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf
 
 from qcyclo.compiler import AffineForm, PhasePoly, SeriesDescriptor, compile_series
 from qcyclo.monomial import div, mul
 from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
-                               RootOfUnityExact, evaluate, make_context,
-                               project_monomial)
+                               RootOfUnityExact, SweepEvaluator, evaluate,
+                               make_context, project_monomial,
+                               root_of_unity_context)
 from qcyclo.qfactor import qfact_monomial
-
-from conftest import trig_qfact_mp
 
 THETA = "0.81"  # q = e^{0.81 i}, a generic point of the unit circle
 
@@ -36,27 +36,40 @@ def chu_vandermonde(m, n, N):
     return series, closed
 
 
-def term_scale(m, n, N, theta):
-    """sum_k |T_k| at q = e^{i theta}, from sine-ratio factorials; the
-    roundoff of the sum is relative to it."""
-    def qbinom(a, b):
-        return trig_qfact_mp(a, theta) / (trig_qfact_mp(b, theta)
-                                          * trig_qfact_mp(a - b, theta))
-    return sum(abs(qbinom(m, k) * qbinom(n, N - k))
+def qbinom(a, b, q):
+    """The symmetric q-binomial [a choose b] at q, by the q-Pascal rule
+    [a, b] = q^-b [a - 1, b] + q^(a - b) [a - 1, b - 1]; it divides by
+    nothing, so it holds at roots of unity too."""
+    row = [mp.mpc(1)]
+    for k in range(1, a + 1):
+        row = [(q ** -j * row[j] if j < k else 0)
+               + (q ** (k - j) * row[j - 1] if j else 0) for j in range(k + 1)]
+    return row[b] if 0 <= b <= a else 0
+
+
+def term_scale(m, n, N, q):
+    """sum_k |T_k| at q on the unit circle, T_k = q^{mN - (m+n)k} [m, k]
+    [n, N - k]; the roundoff of the sum is relative to it."""
+    return sum(abs(qbinom(m, k, q) * qbinom(n, N - k, q))
                for k in range(max(0, N - n), min(m, N) + 1))
 
 
 @st.composite
 def cases(draw):
-    """(m, n, N, h) with m, n < h: every factorial of the series is then
-    nonzero at e^{i pi/h}, while the closed form vanishes when m + n >= h."""
+    """(m, n, N, h) with m, n < 2h: a factorial of the series can then
+    vanish at e^{i pi/h}, so a term can have positive order while a later
+    one has order zero, and the closed form vanishes when its order is
+    positive."""
     h = draw(st.integers(min_value=3, max_value=11))
-    m = draw(st.integers(min_value=0, max_value=h - 1))
-    n = draw(st.integers(min_value=0, max_value=h - 1))
+    m = draw(st.integers(min_value=0, max_value=2 * h - 1))
+    n = draw(st.integers(min_value=0, max_value=2 * h - 1))
     return m, n, draw(st.integers(min_value=0, max_value=m + n)), h
 
 
 class TestChuVandermonde:
+    # at h = 3 the ratio orders are +1 then -1: a walk that stops at the
+    # first vanishing ratio returns -1 for -2
+    @example((2, 4, 3, 3))
     @given(cases())
     def test_all_four_arithmetics(self, case):
         m, n, N, h = case
@@ -72,18 +85,29 @@ class TestChuVandermonde:
             assert got.a == project_monomial(closed, ctx)
             assert got.r == ctx.one
 
-        ctx = make_context(ComplexDouble(), d_max, q=cmath.exp(float(THETA) * 1j))
-        want = project_monomial(closed, ctx)
-        with mp.workprec(64):
-            scale = float(term_scale(m, n, N, mpf(THETA)))
-        assert abs(evaluate(dcr, ctx).a - want) <= 2 ** -45 * scale
-
+        # double and 256 bits at a generic q and at the root of unity
+        # e^{i pi/h}, the sweep at the root too
         bits = 256
         with mp.workprec(bits):
             q = mp.expj(mpf(THETA))
-        ctx = make_context(ComplexExtended(bits), d_max, q=q)
-        got = evaluate(dcr, ctx).a
-        want = project_monomial(closed, ctx)
-        with mp.workprec(bits):
-            scale = term_scale(m, n, N, mpf(THETA))
-            assert abs(got - want) <= mpf(2) ** -(bits - 16) * scale
+        root = root_of_unity_context(h, ComplexDouble(), d_max)
+        for double, extended in (
+                (make_context(ComplexDouble(), d_max,
+                              q=cmath.exp(float(THETA) * 1j)),
+                 make_context(ComplexExtended(bits), d_max, q=q)),
+                (root, root_of_unity_context(h, ComplexExtended(bits), d_max))):
+            want = project_monomial(closed, double)
+            with mp.workprec(64):
+                scale = float(term_scale(m, n, N, mp.mpc(double.q)))
+            assert abs(evaluate(dcr, double).a - want) <= 2 ** -45 * scale
+
+            got = evaluate(dcr, extended).a
+            want = project_monomial(closed, extended)
+            with mp.workprec(bits):
+                scale = term_scale(m, n, N, extended.q)
+                assert abs(got - want) <= mpf(2) ** -(bits - 16) * scale
+
+        got = SweepEvaluator(dcr).amplitudes(np.array([root.q]))[0]
+        with mp.workprec(64):
+            scale = float(term_scale(m, n, N, mp.mpc(root.q)))
+        assert abs(got - project_monomial(closed, root)) <= 2 ** -45 * scale
