@@ -3,29 +3,30 @@
 Compile once into a sparse integer-exponent object (the DCR), then project
 into any target arithmetic: complex double, extended precision, the exact
 cyclotomic field at a root of unity, or the classical q -> 1 limit.
+
+The package exports the names its documented features use; helpers stay
+in their submodules (qcyclo.monomial, qcyclo.qfactor, ...).
 """
 
-from .monomial import (CycloMonomial, ExponentVector, IDENTITY, SquareSplit,
-                       div, mul, sqrt_split)
-from .qfactor import divisors, qfact_monomial, qint_monomial
+import types
+
 from .compiler import (DCR, AdmissibilityError, AffineForm, PhasePoly,
-                       SeriesDescriptor, SixJDescriptor, SixJLabels,
-                       bounds, compile_series, compile_sixj, dcr_from_json,
-                       dcr_to_json, ratio_monomial, series_from_sixj,
-                       sixj_descriptor, triangle_admissible)
-from .cyclofield import CycloField, CycloNumber, cyclotomic_coeffs
-from .projection import (AmplitudeValue, Classical, ClassicalValue,
-                         ComplexDouble, ComplexExtended, PoleError,
-                         ProjectionContext, ProjectionRangeError,
+                       SeriesDescriptor, SixJLabels, compile_series,
+                       compile_sixj, dcr_from_json, dcr_to_json,
+                       triangle_admissible)
+from .monomial import CycloMonomial
+from .cyclofield import CycloNumber
+from .projection import (AmplitudeValue, Classical, ComplexDouble,
+                         ComplexExtended, PoleError, ProjectionRangeError,
                          RootOfUnityExact, SweepEvaluator,
                          amplitude_to_complex, classical_project, evaluate,
-                         make_context, project_monomial,
-                         root_of_unity_context, unit_circle_q)
+                         make_context, project_monomial, unit_circle_q)
 from .statesum import (DCRCache, Triangulation, TVStats,
-                       admissible_colorings, canonical_sixj,
-                       load_triangulation, sixj_images,
+                       admissible_colorings, load_triangulation,
                        triangulation_from_json, tv_partition)
 from .diagnostics import (Diagnostics, dcr_eval_sixj, diagnostics_sixj,
-                          identity_checks, log_qint_table, lse_eval_sixj)
+                          identity_checks, lse_eval_sixj)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_")
+                         or isinstance(value, types.ModuleType)))

@@ -12,6 +12,8 @@ and `main` writes that once to stdout or --output. compile writes the
 DCR JSON text only, so its --format takes json alone.
 
 Spins are always entered as twice-spins: j = 30 is --spins 60,60,...
+A --level below 0 is a usage error, and so is one below 1 for diag and
+the engines lse-f64, lse-mp and exact, which need h = level + 2 >= 3.
 Exit codes: 0 success, 1 internal error or unreadable file, 2 invalid
 usage or inadmissible input (bad triad, pole at the requested root).
 """
@@ -37,6 +39,8 @@ from .projection import (ComplexDouble, ComplexExtended, PoleError,
 
 ENGINES = ("dcr-f64", "dcr-mp", "lse-f64", "lse-mp", "exact", "classical")
 _MP_ENGINES = ("dcr-mp", "lse-mp", "exact")
+# the engines and commands that need the root order h = level + 2 >= 3
+_H3_USERS = ("lse-f64", "lse-mp", "exact", "diag")
 
 # published reference values, tagged by table of origin
 T3_ROWS = (30, 50, 70, 90, 110)
@@ -99,11 +103,9 @@ def _build_parser():
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--unit-circle", dest="unit_circle", action="store_true",
-                   default=True,
-                   help="grid is q = exp(i theta), theta from start to stop")
-    p.add_argument("--real-axis", dest="unit_circle", action="store_false",
-                   help="grid is real q from start to stop")
+    p.add_argument("--real-axis", action="store_true",
+                   help="grid is real q from start to stop (default: "
+                        "q = exp(i theta), theta from start to stop)")
 
     p = sub.add_parser("diag", help="term-level conditioning diagnostics")
     add_common(p)
@@ -130,6 +132,12 @@ def _check_args(args):
     # 53 bits is the floor of extended precision (ComplexExtended)
     if getattr(args, "bits", None) is not None and args.bits < 53:
         raise ConfigError("--bits must be >= 53, got %d" % args.bits)
+    if getattr(args, "level", None) is not None:
+        what = getattr(args, "engine", args.command)
+        low = 1 if what in _H3_USERS else 0
+        if args.level < low:
+            raise ConfigError("--level must be >= %d for %s, got %d"
+                              % (low, what, args.level))
     if args.command in ("eval", "sweep"):
         if args.bits is not None and args.engine not in _MP_ENGINES:
             raise ConfigError("--bits only applies to engines %s"
@@ -260,9 +268,9 @@ def _sweep_grid(args):
         ts = np.array([args.start])
     else:
         ts = np.linspace(args.start, args.stop, args.count)
-    if args.unit_circle:
-        return np.exp(1j * ts)
-    return ts.astype(complex)
+    if args.real_axis:
+        return ts.astype(complex)
+    return np.exp(1j * ts)
 
 
 def cmd_sweep(args):

@@ -6,19 +6,19 @@ A series is described by affine factorial arguments with slopes in
 and a monomial radicand sitting under an overall square root.  Compilation
 produces the parameter-independent tuple
 
-    DCR = (base, ratios, root, rad, z_min, z_max, d_max)
+    DCR = (rows, z_min, z_max, d_max)
 
-where base is the summand monomial at z_min, ratios[i] is the exact
-term-to-term ratio R_{z_min+i}, and root^2 * rad is the prefactor
-radicand with rad's cyclotomic exponents square-free and root's q-power
-zero over the quantum-integer basis s_n = q^n - q^{-n} (qfactor.fold).
-The DCR holds each of them as its row over that basis, and projections
-read the rows alone.  Each ratio is a product of quantum integers
-[n] = s_n/s_1, so the compiler writes it straight into its row and
-builds no Phi_d monomial for it; a ratio's monomial is derived from its
-row (qfactor.unfold) only when it is read.  Base, root and rad are
-monomials, each folded once.  No field arithmetic and no polynomial
-expansion happens anywhere in this module.
+where rows holds, over the quantum-integer basis s_n = q^n - q^{-n}
+(qfactor.fold), the summand at z_min (base), each exact term-to-term
+ratio R_{z_min+i}, and the split root^2 * rad of the prefactor radicand,
+rad's cyclotomic exponents square-free and root's q-power zero over
+that basis.  The rows are the DCR: projections read them alone, and
+base, ratios, root and rad are monomials derived from them
+(qfactor.unfold) only when they are read.  Each ratio is a product of
+quantum integers [n] = s_n/s_1, so the compiler writes it straight into
+its row and builds no Phi_d monomial for it; the base and the two
+halves of the radicand's split are folded once.  No field arithmetic
+and no polynomial expansion happens anywhere in this module.
 
 Convention: the (-1)^z of an alternating series is absorbed into the sign
 of the base term as (-1)^{z_min}, after which each ratio carries one
@@ -27,7 +27,7 @@ value j corresponds to tj = 2j), which keeps every intermediate integral.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import qfactor
 from .monomial import IDENTITY, CycloMonomial, _check64, div, mul, sqrt_split
@@ -106,45 +106,30 @@ class SixJDescriptor:
     labels: SixJLabels
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class DCR:
-    """Compiled series.  `rows` holds each of (base, *ratios, root, rad)
-    over the quantum-integer basis, as qfactor.fold gives it, and every
-    projection reads them.  A ratio is kept as its row only: `ratios`
-    derives the monomials (qfactor.unfold) on each access.
-
-    compile_series hands the rows in; a DCR built from ratio monomials
-    instead (dcr_from_json, by hand) folds them, and base, root and rad,
-    once.  A row determines its monomial, so equality is that of the
-    monomials."""
-    base: CycloMonomial
-    root: CycloMonomial
-    rad: CycloMonomial
+    """Compiled series: `rows` holds each of (base, *ratios, root, rad)
+    as its row over the quantum-integer basis, as qfactor.fold gives it,
+    and every projection reads them.  The monomials are views derived
+    from the rows (qfactor.unfold) on each access.  A row determines its
+    monomial, so equal rows mean equal monomials."""
+    rows: tuple
     z_min: int
     z_max: int
     d_max: int
-    rows: tuple = field(repr=False)
 
-    def __init__(self, *, base, root, rad, z_min, z_max, d_max,
-                 ratios=None, rows=None):
-        if (ratios is None) == (rows is None):
-            raise TypeError("a DCR takes either its ratios or its rows")
-        if rows is None:
-            rows = map(qfactor.fold, (base, *ratios, root, rad))
-        rows = tuple(rows)
-        for name, value in (("base", base), ("root", root), ("rad", rad),
-                            ("z_min", z_min), ("z_max", z_max),
-                            ("d_max", d_max), ("rows", rows)):
-            object.__setattr__(self, name, value)
-        if not 0 <= len(rows) - 3 == z_max - z_min:
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        if not 0 <= len(self.rows) - 3 == self.z_max - self.z_min:
             raise ValueError("DCR has %d ratios for z_min %d to z_max %d"
-                             % (len(rows) - 3, z_min, z_max))
-        if _max_index(rows) > d_max:
-            raise ValueError("DCR index above d_max %d" % d_max)
+                             % (len(self.rows) - 3, self.z_min, self.z_max))
+        if _max_index(self.rows) > self.d_max:
+            raise ValueError("DCR index above d_max %d" % self.d_max)
 
-    @property
-    def ratios(self):
-        return tuple(map(qfactor.unfold, self.rows[1:-2]))
+    base = property(lambda self: qfactor.unfold(self.rows[0]))
+    ratios = property(lambda self: tuple(map(qfactor.unfold, self.rows[1:-2])))
+    root = property(lambda self: qfactor.unfold(self.rows[-2]))
+    rad = property(lambda self: qfactor.unfold(self.rows[-1]))
 
     def num_terms(self):
         return self.z_max - self.z_min + 1
@@ -272,9 +257,10 @@ def _ratio(desc, z):
 
 
 def compile_series(desc):
-    """Assemble the DCR: base summand at z_min, one exact ratio per step,
-    and the square-root split of the prefactor radicand.  The ratios are
-    built as rows; only base, root and rad are folded."""
+    """Assemble the DCR's rows: base summand at z_min, one exact ratio per
+    step, and the square-root split of the prefactor radicand.  The ratios
+    are built as rows; only the base and the two halves of the split are
+    folded."""
     rng = bounds(desc)
     if rng is None:
         raise ValueError("empty summation range: series is identically zero")
@@ -293,15 +279,12 @@ def compile_series(desc):
     # on the unit circle, and so does rad when the radicand is a product
     # of quantum integers
     _, shift, root_groups = qfactor.fold(split.root)
-    root = CycloMonomial(1, split.root.P - shift, split.root.exps)
-    rad = CycloMonomial(split.rad.sigma, split.rad.P + 2 * shift,
-                        split.rad.exps)
-
+    sigma, P, rad_groups = qfactor.fold(split.rad)
     rows = (qfactor.fold(base),
             *(_ratio(desc, z) for z in range(z_min, z_max)),
-            (1, 0, root_groups), qfactor.fold(rad))
-    return DCR(base=base, root=root, rad=rad, z_min=z_min, z_max=z_max,
-               d_max=_max_index(rows), rows=rows)
+            (1, 0, root_groups),
+            (sigma, _check64(P + 2 * shift, "q-power P'"), rad_groups))
+    return DCR(rows, z_min, z_max, _max_index(rows))
 
 
 def compile_sixj(labels):
@@ -334,8 +317,7 @@ def dcr_from_json(text):
             raise ValueError("DCR JSON field %s must be an integer" % key)
     if not isinstance(obj["ratios"], list):
         raise ValueError("DCR JSON field ratios must be a list")
-    return DCR(base=CycloMonomial.from_json_dict(obj["base"]),
-               ratios=tuple(CycloMonomial.from_json_dict(r) for r in obj["ratios"]),
-               root=CycloMonomial.from_json_dict(obj["root"]),
-               rad=CycloMonomial.from_json_dict(obj["rad"]),
-               z_min=obj["z_min"], z_max=obj["z_max"], d_max=obj["d_max"])
+    # the only place, besides the compiler, where monomials become rows
+    monos = (obj["base"], *obj["ratios"], obj["root"], obj["rad"])
+    rows = tuple(qfactor.fold(CycloMonomial.from_json_dict(m)) for m in monos)
+    return DCR(rows, obj["z_min"], obj["z_max"], obj["d_max"])

@@ -175,14 +175,23 @@ class CycloNumber:
                 base = base * base
         return self.field.one if out is None else out
 
+    def conjugate(self):
+        """Image under complex conjugation, x^k -> x^{-k}."""
+        f = self.field
+        conv = [Fraction(0)] * f.n
+        for k, c in enumerate(self.coeffs):
+            conv[-k % f.n] += c
+        return CycloNumber(f, f._reduce(conv))
+
     def embed(self, prec=256):
-        """Numeric value at zeta_2h = e^{i pi / h}, binary precision prec."""
+        """Numeric value at zeta_2h = e^{i pi / h}, binary precision prec;
+        a real mpf, exactly, where the element is fixed by conjugation."""
         with mp.workprec(prec):
             zeta = mp.e ** (mpc(0, mp.pi / self.field.h))
             acc = mpc(0)
             for c in reversed(self.coeffs):
                 acc = acc * zeta + mpf(c.numerator) / mpf(c.denominator)
-            return acc
+            return acc.real if self == self.conjugate() else acc
 
     def __repr__(self):
         return "CycloNumber(h=%d, %s)" % (self.field.h, list(self.coeffs))

@@ -17,14 +17,15 @@ zero each vanishing s_n takes its limit (-1)^{an/h} n.  The classical
 limit is the case a = 0, h = 1.  lattice_order decides when a numeric q
 is such a root.
 
-In double the unit-circle table is math.sin(n theta).  In extended
-precision it is fixed point: the integers S_n ~ sin(n theta) 2^W, W the
-bits plus guard bits, of the Chebyshev recurrence S_{n+1} = 2 cos(theta)
-S_n - S_{n-1} from the unit x = q/|q|, or x = e^{i pi a/h} at a root of
-unity, where a vanishing entry is its limit (-1)^{an/h} n 2^W exactly.
-No entry is rounded, every entry is within 2^-bits of its sine,
-relative, and the lattice test on such a table compares integers,
-exactly.
+In double one rule (_circle_tables) builds the unit-circle table
+sin(n theta), limits included, for evaluate and the sweep alike.  In
+extended precision the unit-circle table is fixed point: the
+integers S_n ~ sin(n theta) 2^W, W the bits plus guard bits, of the
+Chebyshev recurrence S_{n+1} = 2 cos(theta) S_n - S_{n-1} from the unit
+x = q/|q|, or x = e^{i pi a/h} at a root of unity, where a vanishing
+entry is its limit (-1)^{an/h} n 2^W exactly.  No entry is rounded,
+every entry is within 2^-bits of its sine, relative, and the lattice
+test on such a table compares integers, exactly.
 
 A monomial's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f, with one division;
@@ -113,12 +114,6 @@ class AmplitudeValue:
     a: object
     r: object
     root: object = None
-
-
-@dataclass(frozen=True)
-class ClassicalValue:
-    a: Fraction
-    r: Fraction
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,23 +210,37 @@ def _powers_table(q, d_max, one):
     return s
 
 
+def _circle_tables(theta, d_max):
+    """(s, h) in double at the points e^{i theta}, theta a 1-d array:
+    s[:, n - 1] = sin(n theta), n <= d_max, and h each point's
+    lattice_order.  At a root of unity e^{i pi a/h} the entries are
+    formed again from the exact angle, each vanishing one at its limit."""
+    n = np.arange(1, d_max + 1)
+    s = np.sin(np.multiply.outer(theta, n))
+    h = lattice_order(s, _U_DOUBLE)
+    pts = np.nonzero(h)[0]
+    if len(pts):
+        hp = h[pts, None]
+        k = np.rint(hp * theta[pts, None] / np.pi).astype(np.int64) \
+            * n % (2 * hp)  # a n mod 2h
+        s[pts] = np.where(n % hp == 0, np.where(k == hp, -n, n),
+                          np.sin(np.pi * k / hp))
+    return s, h
+
+
 def _double_table(q, d_max):
     """(q, s, h) in double: q moved onto the unit circle, or onto the root
-    of unity e^{i pi a/h} it lies on to roundoff, the table s, and h or
-    None.  On the circle s_n = math.sin(n theta); lattice_order tests that
-    table, and at e^{i pi a/h} it is formed again from the exact angle."""
+    of unity e^{i pi a/h} it lies on to roundoff, the table s (on the
+    circle, _circle_tables'), and h or None."""
     if not _on_circle(q, _U_DOUBLE):
         return q, _powers_table(q, d_max, 1.0), None
     theta = cmath.phase(q)
-    s = [None] + [math.sin(n * theta) for n in range(1, d_max + 1)]
-    h = int(lattice_order(s[1:], _U_DOUBLE))
+    s, h = _circle_tables(np.array([theta]), d_max)
+    s, h = [None] + s[0].tolist(), int(h[0])
     if not h:
         return q / abs(q), s, None
     a = round(h * theta / math.pi)
-    # sin(pi a n / h), the argument reduced exactly
-    s = [None] + [math.sin(math.pi * (a * n % (2 * h)) / h)
-                  for n in range(1, d_max + 1)]
-    return cmath.exp(1j * math.pi * a / h), _take_limits(s, a, h, 1.0), h
+    return cmath.exp(1j * math.pi * a / h), s, h
 
 
 def _extended_table(q, d_max, u, bits):
@@ -494,10 +503,8 @@ def amplitude_to_complex(v, ctx, bits=256):
 
 
 def classical_project(dcr):
-    """Exact rational (a, r) at q = 1, where s_n = n."""
-    ctx = make_context(Classical(), dcr.d_max)
-    out = evaluate(dcr, ctx)
-    return ClassicalValue(a=out.a, r=out.r)
+    """Exact rational amplitude (a, r) at q = 1, where s_n = n."""
+    return evaluate(dcr, make_context(Classical(), dcr.d_max))
 
 
 def _turn(t):
@@ -544,22 +551,15 @@ class SweepEvaluator:
         theta = np.angle(qs)
         on = _on_circle(qs, _U_DOUBLE)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s = np.sin(np.multiply.outer(theta, n))
+            s, h = _circle_tables(theta, F.shape[1])
+            h = np.where(on, h, 0)
             if not on.all():
                 s = s.astype(complex)
                 z = np.exp(np.multiply.outer(np.log(qs[~on]), n))
                 s[~on] = z - 1 / z
             order = np.zeros((len(qs), len(F)))
-            h = np.where(on, lattice_order(s, _U_DOUBLE), 0)
             pts = np.nonzero(h)[0]
-            if len(pts):
-                hp = h[pts, None]
-                k = np.rint(hp * theta[pts, None] / np.pi).astype(np.int64) \
-                    * n % (2 * hp)  # a n mod 2h
-                vanish = n % hp == 0
-                s[pts] = np.where(vanish, np.where(k == hp, -n, n),
-                                  np.sin(np.pi * k / hp))
-                order[pts] = vanish @ F.T
+            order[pts] = (n % h[pts, None] == 0) @ F.T
             logs = np.log(np.abs(s)) @ F.T \
                 + np.outer(np.where(on, 0.0, np.log(np.abs(qs))), self._P)
             # phases in half turns; a real s_n has 0 or 1

@@ -1,0 +1,40 @@
+"""The package's public names: those its documented features use."""
+
+import types
+
+import qcyclo
+
+PUBLIC = (
+    # compiling
+    "SixJLabels", "compile_sixj", "SeriesDescriptor", "AffineForm",
+    "PhasePoly", "compile_series", "DCR", "dcr_to_json", "dcr_from_json",
+    "CycloMonomial", "AdmissibilityError", "triangle_admissible",
+    # projecting
+    "ComplexDouble", "ComplexExtended", "RootOfUnityExact", "Classical",
+    "make_context", "unit_circle_q", "evaluate", "amplitude_to_complex",
+    "classical_project", "project_monomial", "SweepEvaluator",
+    "AmplitudeValue", "CycloNumber", "PoleError", "ProjectionRangeError",
+    # state sums
+    "tv_partition", "TVStats", "DCRCache", "admissible_colorings",
+    "Triangulation", "triangulation_from_json", "load_triangulation",
+    # diagnostics
+    "diagnostics_sixj", "Diagnostics", "lse_eval_sixj", "dcr_eval_sixj",
+    "identity_checks",
+)
+
+
+def test_all_is_pinned():
+    assert sorted(qcyclo.__all__) == sorted(PUBLIC)
+    assert len(set(qcyclo.__all__)) == len(qcyclo.__all__)
+
+
+def test_every_name_resolves_and_none_is_a_module():
+    for name in qcyclo.__all__:
+        assert not isinstance(getattr(qcyclo, name), types.ModuleType), name
+
+
+def test_helpers_stay_in_their_submodules():
+    for name in ("mul", "div", "ExponentVector", "ClassicalValue",
+                 "fold", "ratio_monomial"):
+        assert not hasattr(qcyclo, name), name
+

@@ -138,6 +138,38 @@ class TestBits:
         assert "configuration error" in err and ">= 53" in err
 
 
+class TestLevel:
+    # a negative level is a usage error for every command that takes one,
+    # and level 0 (h = 2) for the engines and diag that need h >= 3
+    @pytest.mark.parametrize("argv", (
+        ("eval", "--spins", "2,2,2,2,2,2", "--level", "-1"),
+        ("eval", "--spins", "2,2,2,2,2,2", "--level", "-1",
+         "--engine", "classical"),
+        ("tv", "--triangulation", str(DATA / "ball_1tet.json"),
+         "--level", "-1"),
+        ("eval", "--spins", "2,2,2,2,2,2", "--level", "0",
+         "--engine", "exact"),
+        ("eval", "--spins", "2,2,2,2,2,2", "--level", "0",
+         "--engine", "lse-f64"),
+        ("eval", "--spins", "2,2,2,2,2,2", "--level", "0",
+         "--engine", "lse-mp"),
+        ("diag", "--spins", "2,2,2,2,2,2", "--level", "0")),
+        ids=("eval", "classical", "tv", "exact", "lse-f64", "lse-mp", "diag"))
+    def test_below_floor_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "configuration error" in err and "--level must be >=" in err
+
+    def test_level_zero_for_the_compiled_engines(self, capsys):
+        # h = 2 admits only spin 0, whose 6j is 1
+        for engine in ("dcr-f64", "dcr-mp"):
+            code, out, _ = run(capsys, "eval", "--spins", "0,0,0,0,0,0",
+                               "--level", "0", "--engine", engine,
+                               "--format", "json")
+            assert code == 0
+            assert json.loads(out)["amplitude"] == {"re": 1.0, "im": 0.0}
+
+
 class TestCompile:
     def test_round_trip(self, capsys):
         code, out, _ = run(capsys, "compile", "--spins", "2,2,4,3,1,3")
@@ -223,6 +255,13 @@ class TestSweep:
                 want = complex(float(p["amp_re"]), float(p["amp_im"]))
                 got = complex(float(d["amp_re"]), float(d["amp_im"]))
                 assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_unit_circle_flag_is_gone(self, capsys):
+        # the unit circle is the default grid; only --real-axis changes it
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spins", "2,2,2,2,2,2", "--start", "0.3",
+                  "--stop", "1.2", "--count", "2", "--unit-circle"])
+        assert exc.value.code == 2
 
     def test_real_axis_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--spins", "2,2,2,2,2,2",

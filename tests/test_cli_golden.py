@@ -116,17 +116,17 @@ GOLDEN = {
     'eval-dcr-mp-text':
         '85955fcb3943a325a29b8eb2f8d9e9a3628657ed22169f7fe9cd08f6a62d2912',
     'eval-exact-csv':
-        '065a4896c83783f573ba1d7892e39168a3754c022d218a0503f627ea91951963',
+        '03996165d6082a833a05371a2bbb32c748d371a2a96cd14ccca9c083f5bc26ae',
     'eval-exact-json':
-        '536cba52f1b51f91b55fba196ba4afce7c2534691b8c4a15bc5eab73a3815bfe',
+        'd6b94efe9e3c19384ebc5d5c72beb8c6135fb09ba326740353a27b72bc7038d5',
     'eval-exact-parts-csv':
-        '065a4896c83783f573ba1d7892e39168a3754c022d218a0503f627ea91951963',
+        '03996165d6082a833a05371a2bbb32c748d371a2a96cd14ccca9c083f5bc26ae',
     'eval-exact-parts-json':
-        '7f6dfd2944e72a49d47a48c454bcb1018b3435edde2037d7ebe08c542e95ce9b',
+        '4b6ab9429bc1958c667c2688a5f26d01c403cb8465c48d0644d3c9894ec44946',
     'eval-exact-parts-text':
-        'afbb8758fd237092f00c5612a7f30442a1b9ed237a399d2454ad7aebf8c61a8e',
+        'e7a84f88c6520f6442d0d50ec7a061bd99927f7b0b5fe6725a5ef3a1d3104ec6',
     'eval-exact-text':
-        '930aedee8cc0980bb1f0bc5d724c3147dce1c2e9e2aa1701794f3e0d45d683dd',
+        '96f01cf312911388b15291d3636d31086184140434b318412cece0d64f80b4f8',
     'eval-lse-f64-csv':
         'bbdfbef32589497d368320fee57c74a193b5087a52118c044960b341b770c9cb',
     'eval-lse-f64-json':

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcyclo import monomial, qfactor
-from qcyclo.compiler import (TRIADS, AdmissibilityError, AffineForm,
+from qcyclo.compiler import (DCR, TRIADS, AdmissibilityError, AffineForm,
                              PhasePoly, SeriesDescriptor, SixJLabels, bounds,
                              compile_series, compile_sixj, dcr_from_json,
                              dcr_to_json, ratio_monomial, series_from_sixj,
@@ -55,6 +56,17 @@ def ratio_oracle(desc, z):
                 m = up(m, qint_monomial(arg.at(z) + 1))
             elif arg.c1 == -1:
                 m = down(m, qint_monomial(arg.at(z)))
+    return m
+
+
+def base_oracle(desc, z):
+    """T_z from its factorials: the product of the numerator's over the
+    denominator's, times q to the phase and the series sign."""
+    m = CycloMonomial((-1) ** (z % 2) if desc.alternating else 1,
+                      desc.phase.at(z))
+    for args, way in ((desc.num_args, mul), (desc.den_args, div)):
+        for arg in args:
+            m = way(m, qfact_monomial(arg.at(z)))
     return m
 
 
@@ -181,8 +193,9 @@ class TestRows:
             assert dcr_from_json(dcr_to_json(dcr)).rows == dcr.rows
 
     def test_rows_unfold_to_their_monomials(self):
-        # every ratio row unfolds to the factorial-step quotient, and the
-        # base, root and rad rows to the monomials they were folded from
+        # every ratio row unfolds to the factorial-step quotient, the base
+        # row to the factorial product at z_min, and root^2 * rad to the
+        # prefactor radicand
         for labels in seeded_labels(300, 120, 7):
             series = series_from_sixj(sixj_descriptor(labels))
             self.check_unfolds(series, compile_series(series))
@@ -193,9 +206,26 @@ class TestRows:
         want = [ratio_oracle(series, z) for z in range(dcr.z_min, dcr.z_max)]
         assert [unfold(row) for row in dcr.rows[1:-2]] == want
         assert list(dcr.ratios) == want
-        for m, row in zip((dcr.base, dcr.root, dcr.rad),
-                          (dcr.rows[0], *dcr.rows[-2:])):
-            assert unfold(row) == m
+        assert dcr.base == base_oracle(series, dcr.z_min)
+        assert mul(mul(dcr.root, dcr.root), dcr.rad) \
+            == series.prefactor_radicand
+        assert all(e == 1 for _, e in dcr.rad.exps.items())
+        assert dcr.rows[-2][:2] == (1, 0)  # root: sigma 1, P' = 0
+
+    def test_the_rows_are_the_dcr(self):
+        # four fields, compared and hashed by them; the monomials are
+        # views of the rows
+        dcr = compile_series(GENERAL)
+        assert [f.name for f in dataclasses.fields(DCR)] \
+            == ["rows", "z_min", "z_max", "d_max"]
+        same = DCR(list(dcr.rows), dcr.z_min, dcr.z_max, dcr.d_max)
+        assert same == dcr and hash(same) == hash(dcr)
+        assert (same.base, same.root, same.rad) \
+            == tuple(map(unfold, (dcr.rows[0], *dcr.rows[-2:])))
+        with pytest.raises(TypeError):
+            DCR(base=dcr.base, ratios=dcr.ratios, root=dcr.root,
+                rad=dcr.rad, z_min=dcr.z_min, z_max=dcr.z_max,
+                d_max=dcr.d_max)
 
     def test_compile_builds_no_ratio_monomial(self, monkeypatch):
         # with the factorial cache warm, a compile constructs as many

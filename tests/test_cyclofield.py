@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp
+from mpmath import mp, mpf
 
 from qcyclo.cyclofield import CycloField, CycloNumber, cyclotomic_coeffs
 
@@ -122,6 +122,18 @@ class TestCycloField:
             want = mp.e ** (mp.mpc(0, mp.pi / h))
             got = F.q.embed(160)
             assert abs(got - want) < mp.mpf(2) ** -140
+
+    @pytest.mark.parametrize("h", (5, 7, 12))
+    def test_embed_is_real_where_conjugation_fixes(self, h):
+        # s_1 = q - 1/q = 2i sin(pi/h) goes to -s_1 under conjugation, and
+        # its square is fixed: that one embeds as a real mpf, exactly
+        F = CycloField(h)
+        s = F.q - F.q_power(-1)
+        assert s.conjugate() == -s and (s * s).conjugate() == s * s
+        assert F.q.conjugate() == F.q_power(-1)
+        assert isinstance((s * s).embed(128), mpf)
+        assert (s * s).embed(128).imag == 0
+        assert s.embed(128).imag != 0 and F.q.embed(128).imag != 0
 
     def test_embed_is_ring_hom(self):
         F = CycloField(7)

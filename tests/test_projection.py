@@ -475,6 +475,12 @@ class TestExtendedAccuracy:
                 assert abs(got - want) <= mpf(2) ** (12 - bits) * scale, labels
 
 
+def hand_built(base, ratios, root, rad, d_max):
+    """A DCR from z = 0 with the rows of the given monomials."""
+    rows = tuple(map(qfactor.fold, (base, *ratios, root, rad)))
+    return DCR(rows, z_min=0, z_max=len(ratios), d_max=d_max)
+
+
 def manual_series_amplitude(dcr, ctx, bits):
     """Oracle: project every term monomial separately, no early exit."""
     with mp.workprec(bits):
@@ -548,8 +554,7 @@ class TestEvaluate:
             project_monomial(CycloMonomial(1, 0, {2: 400}), ctx)
         # factors fit but the running term does not
         m = CycloMonomial(1, 0, {2: 300})
-        dcr = DCR(base=m, ratios=(m, m), root=CycloMonomial(),
-                  rad=CycloMonomial(), z_min=0, z_max=2, d_max=2)
+        dcr = hand_built(m, (m, m), CycloMonomial(), CycloMonomial(), d_max=2)
         with pytest.raises(ProjectionRangeError, match="extended-precision"):
             evaluate(dcr, ctx)
 
@@ -646,6 +651,18 @@ class TestAmplitude:
         with mp.workprec(256):
             want = square.embed(256)
             assert abs(amp * amp - want) <= mpf(10) ** -60 * (1 + abs(want))
+
+    @pytest.mark.parametrize("labels,h", ((ALL_ONES, 7),
+                                          (SixJLabels(*(4,) * 6), 10)))
+    def test_exact_real_symbol_is_real(self, labels, h):
+        # a, r and root of a real 6j are fixed by conjugation, so the
+        # exact engine's amplitude has an imaginary part of exactly zero,
+        # while q itself still embeds as non-real
+        dcr = compile_sixj(labels)
+        ctx = make_context(RootOfUnityExact(h), dcr.d_max)
+        amp = amplitude_to_complex(evaluate(dcr, ctx), ctx)
+        assert amp != 0 and amp.imag == 0
+        assert ctx.q.embed().imag != 0
 
     @pytest.mark.parametrize("labels,h", ((ALL_ONES, 7), (BRANCH_LABELS, 8)))
     def test_exact_matches_extended(self, labels, h):
@@ -752,11 +769,10 @@ class TestSweep:
     def test_lattice_limit_in_surviving_ratio(self):
         # at h = 5 the ratio [10]/[5] survives with both factors vanishing
         # (order 0); the kernel takes its limit -2 as the scalar rule does
-        dcr = DCR(base=CycloMonomial(),
-                  ratios=(div(qint_monomial(10), qint_monomial(5)),
+        dcr = hand_built(CycloMonomial(),
+                         (div(qint_monomial(10), qint_monomial(5)),
                           qint_monomial(3)),
-                  root=qint_monomial(2), rad=qint_monomial(3),
-                  z_min=0, z_max=2, d_max=10)
+                         qint_monomial(2), qint_monomial(3), d_max=10)
         got = SweepEvaluator(dcr).amplitudes(
             np.array([cmath.exp(1j * math.pi / 5)]))[0]
         ctx = root_of_unity_context(5, ComplexExtended(256), dcr.d_max)
@@ -767,9 +783,8 @@ class TestSweep:
 
     def test_vanishing_prefactor_is_zero(self):
         # a root of positive order at h = 5 zeroes the amplitude
-        dcr = DCR(base=CycloMonomial(), ratios=(qint_monomial(2),),
-                  root=qint_monomial(5), rad=CycloMonomial(),
-                  z_min=0, z_max=1, d_max=5)
+        dcr = hand_built(CycloMonomial(), (qint_monomial(2),),
+                         qint_monomial(5), CycloMonomial(), d_max=5)
         q = cmath.exp(1j * math.pi / 5)
         ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
         assert amplitude_to_complex(evaluate(dcr, ctx), ctx) == 0
