@@ -43,12 +43,17 @@ def _log_tables(h, n_max, log_sin, zero):
     """log [n] = log sin(n pi/h) - log sin(pi/h) and log [n]! for
     n = 0..n_max, with log [0] = log [0]! = 0 ([0]! = 1).  This is the
     one range guard of the eager path: it refuses h < 3 and any [n]
-    that vanishes at h."""
+    that vanishes at h.  The eager 6j sum needs n_max = z_max + 1, which
+    can reach h for labels that are admissible at the level; the
+    compiled engines take the vanishing factors' limits and evaluate
+    them."""
     if h < 3:
         raise ValueError("root order h must be >= 3, got %d" % h)
     if n_max >= h:
-        raise ValueError("quantum factorial [%d]! vanishes at h=%d; "
-                         "labels exceed the level" % (n_max, h))
+        raise ValueError("the eager sum needs [%d]!, which vanishes at h=%d "
+                         "(z_max + 1 >= h); the labels may still be "
+                         "admissible: evaluate them with a dcr-* engine"
+                         % (n_max, h))
     ls1 = log_sin(1)
     logq, lfact = [zero], [zero]
     for n in range(1, n_max + 1):

@@ -40,11 +40,19 @@ do not round.  A DCR carries its rows from when it is built
 included, and never a monomial; project_monomial folds the one monomial
 it is given.
 
-Evaluating a DCR walks the ratio chain by each term's running vanishing
-order, adding the terms of order zero, and returns the amplitude as a
-pair (a, r) meaning a * sqrt(r).  For a 6j symbol every monomial folds
-to P' = 0, so on the unit circle a, r and root are real and the
-prefactor branch is decided by exact signs.
+Evaluating a DCR walks the ratio chain once by each term's running
+vanishing order, which decides the live terms (order zero), where the
+sum stops and whether it has a pole, and returns the amplitude as a pair
+(a, r) meaning a * sqrt(r).  For a 6j symbol every monomial folds to
+P' = 0, so on the unit circle a, r and root are real and the prefactor
+branch is decided by exact signs.  On a fixed-point table such a sum is
+nested, S = R_0 (l_0 + R_1 (l_1 + ...)) over the rows R_i and live flags
+l_i, and formed on the integers as one fraction with 64 guard bits, so
+a, root and r are each rounded once: the rounding error of a no longer
+grows with the condition number of the sum (up to about 2^50), and what
+is left is the table's.  Every other table, and a DCR with a row of
+P' != 0, multiplies the rows' images forward and rounds each term and
+partial sum in its arithmetic.
 """
 
 import cmath
@@ -324,18 +332,21 @@ def _order(row, h):
     return sum(f for f, g in row[2] for n in g if n % h == 0)
 
 
+def _vanishes(row, h):
+    """Whether a row's image is an exact zero, its order at the vanishing
+    index h positive; PoleError where that order is negative."""
+    order = _order(row, h) if h is not None else 0
+    if order < 0:
+        raise PoleError("inadmissible: pole at Phi_%d" % h)
+    return order > 0
+
+
 def _project(row, ctx):
     """Image of the monomial whose row is given: zero or a pole where the
     row's order at the vanishing index is positive or negative, and
     otherwise _image."""
-    h = ctx.vanishing_index
-    if h is not None:
-        order = _order(row, h)
-        if order > 0:
-            return ctx.one * 0
-        if order < 0:
-            raise PoleError("inadmissible: pole at Phi_%d" % h)
-    return _image(row, ctx)
+    return ctx.one * 0 if _vanishes(row, ctx.vanishing_index) \
+        else _image(row, ctx)
 
 
 def _image(row, ctx):
@@ -377,20 +388,28 @@ def _image(row, ctx):
 
 def _rounded_row(groups, s, scale, prec):
     """prod_f (prod_{F_n = f} s_n)^f over a fixed-point table, s_n = S_n
-    2^-scale with S_n an integer, rounded once, to nearest, to prec bits.
-
-    The two sides of the fraction are formed on the integers themselves,
-    each factor adding -scale to the exponent, and each product is cut to
-    its top prec + 64 bits whenever it grows past them; a group is raised
-    to |f| as an exact integer power.  The quotient is formed on integers
-    to at least prec + 64 bits and rounded once.  A cut loses under
-    2^-(prec + 63) of the value and raising to |f| multiplies that by |f|,
-    so the row is within 0.5 ulp + T 2^-62 ulp of the exact product of
-    its entries, T the number of cuts weighted by the powers that follow
-    them.  A zero denominator raises ZeroDivisionError, as an mpf division
+    2^-scale with S_n an integer, rounded once, to nearest, to prec bits:
+    the quotient of the row's two sides (_row_sides) at prec + 64 bits.
+    A zero denominator raises ZeroDivisionError, as an mpf division
     does."""
-    wide = prec + 64
-    sides = [(1, 0), (1, 0)]  # numerator, denominator: signed man, exp
+    return _quotient(*_row_sides(groups, s, scale, prec + 64), prec)
+
+
+def _row_sides(groups, s, scale, wide):
+    """The numerator and denominator of prod_f (prod_{F_n = f} s_n)^f over
+    a fixed-point table, each a pair (man, exp) meaning man 2^exp, man a
+    signed integer of at most `wide` bits.
+
+    The sides are formed on the integers S_n themselves, each factor
+    adding -scale to the exponent, and every product is cut to its top
+    wide bits once it grows past them: each entry of a group, each
+    squaring and multiply that raises the group to |f| (_power), and the
+    group's product into its side.  A cut changes its value by under
+    2^(1 - wide), relative, and the power that follows it multiplies that
+    by |f| (a group entry) or by at most 2(|f| - 1) in all (the
+    squarings), so a side is within T 2^(2 - wide) of the exact product
+    of its entries, relative, T = sum (len(g) + 2)|f| over its groups."""
+    sides = [(1, 0), (1, 0)]
     for f, g in groups:
         man, exp = 1, -scale * len(g)
         for n in g:
@@ -399,24 +418,57 @@ def _rounded_row(groups, s, scale, prec):
             if cut > 0:
                 man >>= cut
                 exp += cut
-        k = abs(f)
-        if k > 1:
-            man, exp = _cut(man ** k, exp * k, wide)
-        pm, pe = sides[f < 0]
-        sides[f < 0] = _cut(pm * man, pe + exp, wide)
-    (nm, ne), (dm, de) = sides
-    sign = int((nm < 0) != (dm < 0))
-    nm, dm = abs(nm), abs(dm)
-    shift = max(0, wide + dm.bit_length() - nm.bit_length())
-    man = (nm << shift) // dm
-    return mp.make_mpf(normalize(sign, man, ne - de - shift,
-                                 man.bit_length(), prec, "n"))
+        sides[f < 0] = _mul(sides[f < 0], _power((man, exp), abs(f), wide),
+                            wide)
+    return sides
+
+
+def _power(x, k, wide):
+    """x^k, k >= 1, by left-to-right squaring, each product cut to wide
+    bits."""
+    out = x
+    for bit in bin(k)[3:]:
+        out = _mul(out, out, wide)
+        if bit == "1":
+            out = _mul(out, x, wide)
+    return out
+
+
+def _mul(x, y, wide):
+    """Product of two pairs (man, exp), cut to its top `wide` bits."""
+    return _cut(x[0] * y[0], x[1] + y[1], wide)
+
+
+def _add(x, y, wide):
+    """Sum of two pairs (man, exp), formed exactly and cut to its top
+    `wide` bits."""
+    (xm, xe), (ym, ye) = x, y
+    if xe < ye:
+        (xm, xe), (ym, ye) = (ym, ye), (xm, xe)
+    return _cut((xm << (xe - ye)) + ym, ye, wide)
 
 
 def _cut(man, exp, wide):
     """man 2^exp with man cut to its top `wide` bits."""
     cut = man.bit_length() - wide
     return (man >> cut, exp + cut) if cut > 0 else (man, exp)
+
+
+def _quotient(num, den, prec):
+    """num / den, two pairs (man, exp), rounded once, to nearest, to prec
+    bits: the integer quotient is formed to at least prec + 64 bits, its
+    last bit set where the division leaves a remainder, so no exact
+    half-way case is invented.  A zero denominator raises
+    ZeroDivisionError."""
+    (nm, ne), (dm, de) = num, den
+    sign = int((nm < 0) != (dm < 0))
+    nm, dm = abs(nm), abs(dm)
+    shift = max(0, prec + 64 + dm.bit_length() - nm.bit_length())
+    man, rem = divmod(nm << shift, dm)
+    if rem:
+        man |= 1
+    return mp.make_mpf(normalize(sign, man, ne - de - shift,
+                                 man.bit_length(), prec, "n"))
 
 
 def _product(factors, one=None):
@@ -427,13 +479,23 @@ def evaluate(dcr, ctx):
     """Projected sum, returned as AmplitudeValue(a = Pi(root) * sum,
     r = Pi(rad)).
 
-    The ratio chain is walked by each term's running vanishing order, the
-    base row's order plus those of the ratios before it: a term of order
-    zero is added, formed from the rows' images (_image, the vanishing
-    s_n at their limits), one of positive order adds nothing, and one of
-    negative order raises PoleError.  The walk stops once the running
-    order is positive and no later ratio has negative order, since every
-    later term then vanishes."""
+    One walk over the ratio chain (_walk) decides, from each term's
+    running vanishing order, which terms are live (order zero), which
+    vanish, where the sum stops and whether it has a pole (PoleError);
+    root and rad are decided by their own orders.  The vanishing s_n of
+    the live terms' rows take their limits.
+
+    On a fixed-point table (ctx.scale set: extended precision on the
+    unit circle and at its roots of unity) whose rows all have q-power
+    P' = 0, as every 6j's do, the sum is formed on integers
+    (_fixed_point_amplitude) and each of a, root and r is rounded once.
+    a is then within 0.5 ulp plus kappa W 2^-(bits + 62), relative, of
+    the value its own table entries give, kappa = sum_z |T_z| / |sum_z
+    T_z| and W the total weight of the cuts (a few per row entry), so
+    the error left is the table's.  A DCR with a row of P' != 0, and
+    every other table, multiplies the rows' images (_image) forward term
+    by term and adds the live ones, rounding at each step in its
+    arithmetic."""
     if ctx.d_max < dcr.d_max:
         raise ValueError("context covers d <= %d but DCR needs %d"
                          % (ctx.d_max, dcr.d_max))
@@ -443,24 +505,40 @@ def evaluate(dcr, ctx):
     return _evaluate_loop(dcr, ctx)
 
 
-def _evaluate_loop(dcr, ctx):
-    h, rows = ctx.vanishing_index, dcr.rows
-    orders = [_order(row, h) if h else 0 for row in rows[:-2]]
+def _walk(rows, h):
+    """Live flags of the terms walked in a ratio chain, rows = (base,
+    ratio 1, ...): term i, base times ratios 1..i, has as running order
+    the sum of those rows' orders at the vanishing index h.  It is live
+    at order zero, vanishes at a positive one and is a pole (PoleError)
+    at a negative one.  The walk stops once the running order is
+    positive and no later ratio has negative order, since every later
+    term then vanishes; the base is always walked."""
+    if h is None:
+        return [True] * len(rows)
+    orders = [_order(row, h) for row in rows]
     # past the last ratio of negative order a running order only grows
     last_neg = max((i for i, o in enumerate(orders) if o < 0), default=0)
-    order = orders[0]
-    if order < 0:
-        raise PoleError("inadmissible: pole at Phi_%d" % h)
-    term = _image(rows[0], ctx)
-    total = term if order == 0 else ctx.one * 0
-    for i in range(1, len(rows) - 2):
-        order += orders[i]
+    live, order = [], 0
+    for i, o in enumerate(orders):
+        order += o
         if order < 0:
             raise PoleError("inadmissible: pole at Phi_%d" % h)
-        if order > 0 and i >= last_neg:
+        if i and order > 0 and i >= last_neg:
             break  # this term and every later one vanish
+        live.append(order == 0)
+    return live
+
+
+def _evaluate_loop(dcr, ctx):
+    rows = dcr.rows
+    live = _walk(rows[:-2], ctx.vanishing_index)
+    if ctx.scale is not None and not any(P for _, P, _ in rows):
+        return _fixed_point_amplitude(rows, live, ctx)
+    term = _image(rows[0], ctx)
+    total = term if live[0] else ctx.one * 0
+    for i in range(1, len(live)):
         term = term * _image(rows[i], ctx)
-        if order == 0:
+        if live[i]:
             total = total + term
     root = _project(rows[-2], ctx)
     a = root * total
@@ -472,6 +550,45 @@ def _evaluate_loop(dcr, ctx):
                     "evaluation overflowed double precision; "
                     "use an extended-precision tag")
     return AmplitudeValue(a=a, r=r, root=root)
+
+
+def _fixed_point_amplitude(rows, live, ctx):
+    """evaluate on a fixed-point table, every row of q-power P' = 0.
+
+    The sum S = R_0 (l_0 + R_1 (l_1 + R_2 (l_2 + ...))), R_0 the base,
+    R_i the ratios and l_i the live flags, is nested from the last
+    walked term inward as one fraction A / B of pairs (man, exp): each
+    ratio's sides (_row_sides) take two products, B <- D_i B and
+    A <- N_i A, plus B where l_{i-1} is set, each cut to bits + 64 bits.
+    Then a = root R_0 A / B and root are one integer quotient each and r
+    is _rounded_row's, so each is rounded once.  A cut changes the terms
+    that follow it by under 2^(1 - wide), relative, so before that
+    rounding a is within W 2^(2 - wide) sum_z |root T_z| of the value
+    the table's entries give, W the weight of all cuts: _row_sides' T
+    of every row walked, three per ratio and four for a."""
+    h, s, scale = ctx.vanishing_index, ctx.s, ctx.scale
+    bits = ctx.tag.bits
+    wide = bits + 64
+
+    def sides(row):
+        sigma, _, groups = row
+        (nm, ne), den = _row_sides(groups, s, scale, wide)
+        return (-nm if sigma < 0 else nm, ne), den
+
+    A, B = (int(live[-1]), 0), (1, 0)
+    for i in range(len(live) - 1, 0, -1):
+        N, D = sides(rows[i])
+        B, A = _mul(D, B, wide), _mul(N, A, wide)
+        if live[i - 1]:
+            A = _add(A, B, wide)
+    if _vanishes(rows[-2], h):
+        root = a = ctx.one * 0
+    else:
+        (rn, rd), (bn, bd) = sides(rows[-2]), sides(rows[0])
+        root = _quotient(rn, rd, bits)
+        a = _quotient(_mul(_mul(rn, bn, wide), A, wide),
+                      _mul(_mul(rd, bd, wide), B, wide), bits)
+    return AmplitudeValue(a=a, r=_project(rows[-1], ctx), root=root)
 
 
 def _branch_sqrt(r, root, sqrt_fn):

@@ -94,6 +94,23 @@ class TestEval:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "internal error" in err
 
+    def test_lse_refusal_of_admissible_labels(self, capsys):
+        # admissible at level 6, h = 8, but the eager sum needs
+        # [z_max + 1]! = [9]!, which vanishes there: the refusal names
+        # that cause and the compiled engines, which evaluate the labels
+        argv = ("eval", "--spins", "4,4,4,4,4,4", "--level", "6")
+        for engine in ("lse-f64", "lse-mp"):
+            code, out, err = run(capsys, *argv, "--engine", engine)
+            assert code == 1 and out == ""
+            assert "[9]!" in err and "z_max + 1 >= h" in err \
+                and "dcr-* engine" in err and "exceed the level" not in err
+        for engine in ("dcr-mp", "exact"):
+            code, out, _ = run(capsys, *argv, "--engine", engine,
+                               "--format", "json")
+            assert code == 0
+            got = json.loads(out)["amplitude"]["re"]
+            assert abs(got - 1.213203435596e-01) <= 1e-12
+
     def test_pole_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--spins", "4,4,4,4,4,4",
                            "--level", "2")

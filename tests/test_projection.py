@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -475,6 +476,133 @@ class TestExtendedAccuracy:
                 assert abs(got - want) <= mpf(2) ** (12 - bits) * scale, labels
 
 
+def live_term_scale(dcr, ctx):
+    """sum_z |root T_z| over the live terms, each term's monomial
+    projected by project_monomial, which gives zero for a term of
+    positive order."""
+    with mp.workprec(ctx.tag.bits):
+        root = abs(project_monomial(dcr.root, ctx))
+        term, scale = dcr.base, abs(project_monomial(dcr.base, ctx))
+        for rz in dcr.ratios:
+            term = mul(term, rz)
+            scale += abs(project_monomial(term, ctx))
+        return root * scale
+
+
+class TestFixedPointChain:
+    """On a fixed-point table a 6j's sum is nested on integers and a is
+    rounded once (projection._fixed_point_amplitude)."""
+
+    # T3 rows j = 30, 50, 70 and the labels of perfbench's point-mp pools
+    # at seeds 1, 3 and 7, all at k = 500
+    ACCURACY_LABELS = [(2 * j,) * 6 for j in (30, 50, 70)] + [
+        (32, 31, 39, 40, 31, 35), (40, 54, 58, 46, 28, 30),
+        (47, 35, 30, 20, 22, 45), (48, 27, 55, 34, 39, 53),
+        (54, 54, 38, 48, 20, 44), (56, 21, 53, 37, 26, 40),
+        (60, 30, 56, 60, 40, 54),
+        (29, 47, 50, 49, 57, 52), (33, 39, 36, 32, 30, 39),
+        (43, 22, 39, 21, 38, 33), (43, 55, 50, 47, 55, 28),
+        (44, 50, 24, 51, 37, 29), (46, 56, 30, 48, 28, 42),
+        (58, 49, 31, 47, 24, 44),
+        (21, 28, 39, 59, 48, 47), (34, 21, 23, 42, 57, 49),
+        (34, 46, 50, 30, 30, 52), (40, 38, 32, 35, 33, 31),
+        (41, 35, 38, 22, 50, 23), (45, 55, 36, 46, 36, 57),
+        (54, 43, 47, 49, 22, 60)]
+
+    @staticmethod
+    def a_and_amplitude(dcr, bits):
+        ctx = root_of_unity_context(502, ComplexExtended(bits), dcr.d_max)
+        v = evaluate(dcr, ctx)
+        return v.a, amplitude_to_complex(v, ctx, bits)
+
+    @pytest.mark.parametrize("bits", (256, 2048))
+    def test_rounding_does_not_grow_with_kappa(self, bits):
+        # a and the amplitude within 8 units of 2^-bits, relative, of an
+        # evaluation at 2 bits + 64, kappa up to 1e11 (T3 j = 70)
+        for labels in self.ACCURACY_LABELS:
+            dcr = compile_sixj(SixJLabels(*labels))
+            got = self.a_and_amplitude(dcr, bits)
+            want = self.a_and_amplitude(dcr, 2 * bits + 64)
+            with mp.workprec(2 * bits + 64):
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 8 * mpf(2) ** -bits * abs(w), labels
+
+    @pytest.mark.parametrize("lattice", (False, True), ids=("generic", "h7"))
+    @pytest.mark.parametrize("wide", (24, 117, 320))
+    @given(m=monomials(max_d=15, max_e=9))
+    def test_row_sides_within_stated_bound(self, wide, lattice, m):
+        # each side (man, exp) of _row_sides, every product cut to wide
+        # bits and each group raised by squaring, is within T 2^(2 - wide)
+        # of the exact product of its entries, relative, T = sum
+        # (len(g) + 2)|f| over its groups
+        ctx = circle_context(128, 15, lattice)
+        groups = qfactor.fold(m)[2]
+        sides = projection._row_sides(groups, ctx.s, ctx.scale, wide)
+        for (man, exp), den in zip(sides, (False, True)):
+            exact, count, T = 1, 0, 0
+            for f, g in groups:
+                if (f < 0) == den:
+                    for n in g:
+                        exact *= ctx.s[n] ** abs(f)
+                    count += len(g) * abs(f)
+                    T += (len(g) + 2) * abs(f)
+            assert man.bit_length() <= wide
+            got = man * Fraction(2) ** (exp + ctx.scale * count)
+            assert abs(got - exact) <= T * Fraction(2) ** (2 - wide) * abs(exact)
+
+    STRUCTURAL = (
+        # the root has order 1: a is zero
+        lambda h: (CycloMonomial(), (qint_monomial(2),), qint_monomial(h)),
+        # every term has order 1: the sum is zero
+        lambda h: (qint_monomial(h), (qint_monomial(2),), CycloMonomial()),
+        # the base has order 1 and the next term order 0: [2] at its limit
+        lambda h: (qint_monomial(h), (div(qint_monomial(2), qint_monomial(h)),),
+                   CycloMonomial()),
+        # the base has order -1: a pole
+        lambda h: (div(CycloMonomial(), qint_monomial(h)), (), CycloMonomial()),
+        # the second term has order -1: a pole
+        lambda h: (CycloMonomial(), (div(qint_monomial(2), qint_monomial(h)),),
+                   CycloMonomial()))
+
+    @staticmethod
+    def outcome(dcr, ctx):
+        try:
+            return evaluate(dcr, ctx).a
+        except PoleError:
+            return None
+
+    @pytest.mark.parametrize("h", range(3, 13))
+    def test_decisions_match_exact_field(self, h):
+        # poles and zeros come from the orders alone: every admissible 6j
+        # with twice-spins <= 3, and hand-built chains of each structural
+        # case.  The exact field also finds accidental zeros, such as
+        # (2,)*6 at h = 6; there the integer chain is within the 2^(12 -
+        # bits) sum_z |root T_z| of TestExtendedAccuracy
+        bits = 64
+        dcrs = [compile_sixj(SixJLabels(*t))
+                for t in itertools.product(range(4), repeat=6)
+                if all(triangle_admissible(t[a], t[b], t[c])
+                       for a, b, c in ((0, 1, 2), (0, 4, 5), (1, 3, 5),
+                                       (2, 3, 4)))]
+        dcrs += [hand_built(base, ratios, root, CycloMonomial(), d_max=h)
+                 for base, ratios, root in (c(h) for c in self.STRUCTURAL)]
+        seen = set()
+        for dcr in dcrs:
+            d_max = max(dcr.d_max, 2)
+            exact = self.outcome(dcr, make_context(RootOfUnityExact(h), d_max))
+            ctx = root_of_unity_context(h, ComplexExtended(bits), d_max)
+            got = self.outcome(dcr, ctx)
+            assert (got is None) == (exact is None), dcr
+            if got is None:
+                seen.add("pole")
+            elif got == 0 or exact.is_zero():
+                assert got == 0 or abs(got) \
+                    <= mpf(2) ** (12 - bits) * live_term_scale(dcr, ctx), dcr
+                assert exact.is_zero(), dcr
+                seen.add("zero" if got == 0 else "accidental zero")
+        assert {"pole", "zero"} <= seen
+
+
 def hand_built(base, ratios, root, rad, d_max):
     """A DCR from z = 0 with the rows of the given monomials."""
     rows = tuple(map(qfactor.fold, (base, *ratios, root, rad)))
@@ -496,17 +624,21 @@ def manual_series_amplitude(dcr, ctx, bits):
 def project_monomial_chain(dcr, ctx):
     """A 6j symbol's walk over the ratios, up to the first of positive
     order, every monomial projected by project_monomial, which folds it
-    afresh."""
+    afresh, and the product and sum formed forward in the context's
+    arithmetic: a and the terms root T_z walked."""
     h = ctx.vanishing_index
     bits = ctx.tag.bits if isinstance(ctx.tag, ComplexExtended) else mp.prec
     with mp.workprec(bits):
         term = total = project_monomial(dcr.base, ctx)
+        terms = [term]
         for rz in dcr.ratios:
             if h is not None and rz.exps.get(h) > 0:
                 break
             term = term * project_monomial(rz, ctx)
             total = total + term
-        return project_monomial(dcr.root, ctx) * total
+            terms.append(term)
+        root = project_monomial(dcr.root, ctx)
+        return root * total, [root * t for t in terms]
 
 
 class TestEvaluate:
@@ -517,13 +649,28 @@ class TestEvaluate:
     @pytest.mark.parametrize("labels,h", CASES)
     def test_built_rows_project_as_project_monomial(self, labels, h):
         # the rows a DCR is built with give bit for bit what folding each
-        # monomial afresh gives, in all four arithmetics
+        # monomial afresh gives in double, the exact field and the
+        # classical limit, which multiply forward as the chain does
         dcr = compile_sixj(labels)
         for ctx in (root_of_unity_context(h, ComplexDouble(), dcr.d_max),
-                    root_of_unity_context(h, ComplexExtended(256), dcr.d_max),
                     make_context(RootOfUnityExact(h), dcr.d_max),
                     make_context(Classical(), dcr.d_max)):
-            assert evaluate(dcr, ctx).a == project_monomial_chain(dcr, ctx)
+            assert evaluate(dcr, ctx).a == project_monomial_chain(dcr, ctx)[0]
+        # extended precision nests the sum on integers and rounds a once,
+        # within u |a| (u = 2^-bits) plus 2^-60 u S of the value of its
+        # table, S = sum_z |root T_z| over the m terms walked.  The forward
+        # chain rounds each of the z + 1 <= m rows of T_z once and its z
+        # products, (2m - 1) u |T_z|, the m - 1 partial sums, (m - 1) u S,
+        # and root's row and product, 2 u S: 3m u S to first order.  The
+        # two differ by under (3m + 2) u S.
+        bits = 256
+        ctx = root_of_unity_context(h, ComplexExtended(bits), dcr.d_max)
+        got = evaluate(dcr, ctx).a
+        want, terms = project_monomial_chain(dcr, ctx)
+        with mp.workprec(bits):
+            scale = sum(abs(t) for t in terms)
+            assert abs(got - want) \
+                <= (3 * len(terms) + 2) * mpf(2) ** -bits * scale
 
     @pytest.mark.parametrize("labels,h", CASES)
     def test_early_termination_matches_term_sum(self, labels, h):
