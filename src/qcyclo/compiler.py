@@ -223,16 +223,10 @@ def bounds(desc):
     return z_min, z_max
 
 
-def ratio_monomial(desc, z):
-    """Exact term ratio R_z = T_{z+1}/T_z as a single monomial, derived
-    from its row.
-
-    For the 6j this is -[z+2] prod_y [b_y-z] / prod_i [z+1-a_i]."""
-    return qfactor.unfold(_ratio(desc, z))
-
-
 def _ratio(desc, z):
-    """R_z as its row over s_n, built directly, with no Phi_d monomial.
+    """The exact term ratio R_z = T_{z+1}/T_z as its row over s_n, built
+    directly, with no Phi_d monomial; for the 6j R_z is -[z+2] prod_y
+    [b_y-z] / prod_i [z+1-a_i].
 
     Each slope +1 argument steps its factorial up by one quantum integer,
     each slope -1 argument steps down; numerator and denominator roles

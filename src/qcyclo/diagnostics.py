@@ -70,11 +70,6 @@ def _log_sin_mp(h):
     return lambda n: mp.log(mp.sinpi(mpf(n) / h))
 
 
-def log_qint_table(h, n_max):
-    """(log [n]_q, log [n]_q!) for n = 0..n_max in double precision."""
-    return _log_tables(h, n_max, _log_sin_double(h), 0.0)
-
-
 def _term_logs(labels, h, log_sin, zero):
     """Yield (z, log T_z, log N_z + log D_z) over the 6j sum at
     q = e^{i pi/h}, in ascending z.

@@ -53,9 +53,6 @@ class ExponentVector:
         """Entries in ascending d (deterministic serialization order)."""
         return sorted(self._e.items())
 
-    def support_size(self):
-        return len(self._e)
-
     def indices(self):
         return sorted(self._e)
 
@@ -102,9 +99,6 @@ class CycloMonomial:
         elif not isinstance(exps, ExponentVector):
             exps = ExponentVector(exps)
         self.exps = exps
-
-    def is_identity(self):
-        return self.sigma == 1 and self.P == 0 and not self.exps
 
     def max_index(self, default=1):
         return self.exps.max_index(default)

@@ -27,32 +27,27 @@ entry is its limit (-1)^{an/h} n 2^W exactly.  No entry is rounded,
 every entry is within 2^-bits of its sine, relative, and the lattice
 test on such a table compares integers, exactly.
 
-A monomial's image multiplies the entries that share an exponent f and
-raises each group once, prod_f (prod_{F_n = f} s_n)^f, with one division;
-the identity holds in every ring, so all four arithmetics share it.
-Where the extended table is fixed point, on the unit circle and at its
-roots of unity, the product is formed on its integers with 64 guard bits
-and rounded once, so a row is within 0.5 ulp, plus a few 2^-62 ulp, of
-the exact product of its own entries.  A complex (off the circle) or
-double table rounds at each product, and the exact and classical fields
-do not round.  A DCR carries its rows from when it is built
-(compiler.DCR): evaluate and SweepEvaluator read them alone, orders
-included, and never a monomial; project_monomial folds the one monomial
-it is given.
+A row's image multiplies the entries that share an exponent f and
+raises each group once, prod_f (prod_{F_n = f} s_n)^f.  A DCR carries
+its rows from when it is built (compiler.DCR): evaluate and
+SweepEvaluator read them alone, orders included, and never a monomial.
 
 Evaluating a DCR walks the ratio chain once by each term's running
 vanishing order, which decides the live terms (order zero), where the
 sum stops and whether it has a pole, and returns the amplitude as a pair
-(a, r) meaning a * sqrt(r).  For a 6j symbol every monomial folds to
-P' = 0, so on the unit circle a, r and root are real and the prefactor
-branch is decided by exact signs.  On a fixed-point table such a sum is
-nested, S = R_0 (l_0 + R_1 (l_1 + ...)) over the rows R_i and live flags
-l_i, and formed on the integers as one fraction with 64 guard bits, so
-a, root and r are each rounded once: the rounding error of a no longer
-grows with the condition number of the sum (up to about 2^50), and what
-is left is the table's.  Every other table, and a DCR with a row of
-P' != 0, multiplies the rows' images forward and rounds each term and
-partial sum in its arithmetic.
+(a, r) meaning a * sqrt(r); for a 6j every row has P' = 0, so on the
+unit circle a, r and root are real.  Every arithmetic but double nests
+the sum, S = R_0 (l_0 + R_1 (l_1 + ...)) over the rows R_i and live
+flags l_i, as one fraction in a small ring, which gives a row's two
+sides (sigma and q^P' applied), a product, a sum and one quotient per
+output.  Its four instances: integer pairs with 64 guard bits on a
+fixed-point table, so a, root and r are each rounded once and the
+rounding error of a does not grow with the condition number of the sum
+(up to about 2^50); Q(zeta_2h), with one inverse per output; the
+integers at q = 1, with one Fraction; and mpc values off the circle, or
+for a row of P' != 0 on it, each row rounded as it is formed.
+project_monomial is the one-row case, the quotient of the row's sides.
+Double multiplies the rows' images forward.
 """
 
 import cmath
@@ -126,21 +121,16 @@ class AmplitudeValue:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionContext:
-    """Immutable bundle: field tag, q, and the table s[n], n = 1..d_max,
-    with the vanishing entries already replaced by their limits.
-
-    An extended-precision table on the unit circle or at its roots of
-    unity is fixed point: s[n] is the integer S_n ~ sin(n theta) 2^scale,
-    and scale is None for every other table, whose entries are values of
-    the arithmetic itself."""
+    """Immutable bundle: field tag, q, the output arithmetic's one, the
+    vanishing index and the ring that evaluate nests a sum in; the ring
+    holds the table s[n], n = 1..d_max, the vanishing entries already
+    replaced by their limits."""
     tag: object
     q: object
-    s: list
     one: object
     d_max: int
     vanishing_index: int = None
-    scale: int = None
-    _field: CycloField = None
+    ring: object = None
 
 
 def unit_circle_q(h, tag):
@@ -288,26 +278,30 @@ def make_context(tag, d_max, q=None):
         if q == 0:
             raise ValueError("q must be nonzero")
         if isinstance(tag, ComplexDouble):
-            q, s, h = _double_table(complex(q), d_max)
-            return ProjectionContext(tag, q, s, 1.0, d_max, h)
-        u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
-            else mpf(2) ** -tag.bits
-        with mp.workprec(tag.bits):
-            q = mpc(q)
-        q, s, h, W = _extended_table(q, d_max, u, tag.bits)
-        return ProjectionContext(tag, q, s, mpf(1), d_max, h, W)
+            (q, s, h), W, one = _double_table(complex(q), d_max), None, 1.0
+        else:
+            u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
+                else mpf(2) ** -tag.bits
+            with mp.workprec(tag.bits):
+                q = mpc(q)
+            (q, s, h, W), one = _extended_table(q, d_max, u, tag.bits), mpf(1)
+        ring = _FixedPoint(s, W, tag.bits) if W is not None else _Values(
+            None, one, functools.partial(pow, q),
+            image=functools.partial(_table_image, s=s, one=one))
+        return ProjectionContext(tag, q, one, d_max, h, ring)
     if isinstance(tag, RootOfUnityExact):
         fld, h = CycloField(tag.h), tag.h
         s = [None] + [fld.element_from_power(n) - fld.element_from_power(-n)
                       for n in range(1, d_max + 1)]
-        return ProjectionContext(tag, fld.q, _take_limits(s, 1, h, fld.one),
-                                 fld.one, d_max, h if h <= d_max else None,
-                                 _field=fld)
+        ring = _Values(_take_limits(s, 1, h, fld.one), fld.one, fld.q_power)
+        return ProjectionContext(tag, fld.q, fld.one, d_max,
+                                 h if h <= d_max else None, ring)
     if isinstance(tag, Classical):
-        # q = 1 is e^{i pi 0/1}: every s_n vanishes and takes its limit n
-        one = Fraction(1)
-        s = _take_limits([None] * (d_max + 1), 0, 1, one)
-        return ProjectionContext(tag, one, s, one, d_max, 1)
+        # q = 1 is e^{i pi 0/1}: every s_n takes its limit n, q^P' is 1, and
+        # a row's order there, the sum of its F_n, is 0: none vanishes
+        s = _take_limits([None] * (d_max + 1), 0, 1, 1)
+        return ProjectionContext(tag, Fraction(1), Fraction(1), d_max, None,
+                                 _Values(s, 1, lambda P: 1, Fraction))
     raise ValueError("unknown field tag %r" % (tag,))
 
 
@@ -343,56 +337,132 @@ def _vanishes(row, h):
 
 def _project(row, ctx):
     """Image of the monomial whose row is given: zero or a pole where the
-    row's order at the vanishing index is positive or negative, and
-    otherwise _image."""
-    return ctx.one * 0 if _vanishes(row, ctx.vanishing_index) \
-        else _image(row, ctx)
+    row's order at the vanishing index is positive or negative, else the
+    quotient of the row's sides in its ring (_image in double)."""
+    if _vanishes(row, ctx.vanishing_index):
+        return ctx.one * 0
+    if isinstance(ctx.tag, ComplexDouble):
+        return _image(row, ctx)
+    ring = _ring((row,), ctx)
+    return ring.quotient(*ring.sides(row))
 
 
 def _image(row, ctx):
-    """sigma q^P' prod_f (prod_{F_n = f} s_n)^f over the table, every
-    vanishing s_n at its limit: the row's image where its order is zero,
-    whatever that order is.
-
-    On a fixed-point table the product is rounded once, at ctx.tag.bits
-    (_rounded_row), to within 0.5 ulp plus a few 2^-62 ulp of the exact
-    product of the entries; q^P' and sigma are applied to that.  Every
-    other table multiplies in its own arithmetic."""
-    sigma, P, groups = row
+    """A row's image in double, its ring's numerator side, every vanishing
+    s_n at its limit; a value past double range raises
+    ProjectionRangeError."""
     try:
-        if ctx.scale is not None:
-            out = _rounded_row(groups, ctx.s, ctx.scale, ctx.tag.bits)
-        else:
-            # prod_f (prod_{F_n = f} s_n)^f: one power per exponent, one
-            # division
-            num, den = [], []
-            for f, g in groups:
-                g = _product([ctx.s[n] for n in g])
-                (num if f > 0 else den).append(g if abs(f) == 1 else g ** abs(f))
-            out = _product(num, ctx.one)
-            if den:
-                out = out / _product(den)
-        if P:
-            out = out * (ctx._field.q_power(P) if ctx._field else ctx.q ** P)
+        out = ctx.ring.sides(row)[0]
     except (OverflowError, ZeroDivisionError):
-        # in double, x ** int raises instead of returning inf, and an
-        # underflowed denominator divides by zero
-        if not isinstance(ctx.tag, ComplexDouble):
-            raise
+        # x ** int raises instead of returning inf, and an underflowed
+        # denominator divides by zero
         out = math.inf
-    if isinstance(ctx.tag, ComplexDouble) and not 0 < abs(out) < math.inf:
+    if not 0 < abs(out) < math.inf:
         raise ProjectionRangeError("projection left double precision range; "
                                    "use an extended-precision tag")
-    return -out if sigma < 0 else out
+    return out
 
 
-def _rounded_row(groups, s, scale, prec):
-    """prod_f (prod_{F_n = f} s_n)^f over a fixed-point table, s_n = S_n
-    2^-scale with S_n an integer, rounded once, to nearest, to prec bits:
-    the quotient of the row's two sides (_row_sides) at prec + 64 bits.
-    A zero denominator raises ZeroDivisionError, as an mpf division
-    does."""
-    return _quotient(*_row_sides(groups, s, scale, prec + 64), prec)
+class _FixedPoint:
+    """The ring of a fixed-point table s, s_n = S_n 2^-scale, on pairs
+    (man, exp), man 2^exp: a row's sides are _row_sides', sigma on the
+    numerator, every product and sum is cut to wide = bits + 64 bits, and
+    a quotient is rounded once, to bits.  Its rows have P' = 0 (_ring);
+    image rounds a row once, within 0.5 ulp plus a few 2^-62 ulp of the
+    exact product of its entries."""
+    one, zero = (1, 0), (0, 0)
+
+    def __init__(self, s, scale, bits):
+        self.s, self.scale, self.bits, self.wide = s, scale, bits, bits + 64
+
+    def sides(self, row):
+        (nm, ne), den = _row_sides(row[2], self.s, self.scale, self.wide)
+        return (-nm if row[0] < 0 else nm, ne), den
+
+    def mul(self, x, y):
+        return _cut(x[0] * y[0], x[1] + y[1], self.wide)
+
+    def add(self, x, y):
+        (xm, xe), (ym, ye) = x, y
+        if xe < ye:
+            (xm, xe), (ym, ye) = (ym, ye), (xm, xe)
+        return _cut((xm << (xe - ye)) + ym, ye, self.wide)
+
+    def quotient(self, num, den):
+        """num / den rounded once, to nearest: the integer quotient is
+        formed to at least bits + 64 bits, its last bit set where the
+        division leaves a remainder, so no exact half-way case is
+        invented.  A zero denominator raises ZeroDivisionError."""
+        (nm, ne), (dm, de) = num, den
+        sign = int((nm < 0) != (dm < 0))
+        nm, dm = abs(nm), abs(dm)
+        shift = max(0, self.wide + dm.bit_length() - nm.bit_length())
+        man, rem = divmod(nm << shift, dm)
+        if rem:
+            man |= 1
+        return mp.make_mpf(normalize(sign, man, ne - de - shift,
+                                     man.bit_length(), self.bits, "n"))
+
+    def image(self, groups):
+        return self.quotient(*self.sides((1, 0, groups)))
+
+
+class _Values:
+    """The ring of the arithmetic's own values: Q(zeta_2h), the integers
+    at q = 1, mpc or double.  A row's sides are the products of its
+    entries of positive and of negative exponent, or, given a rounded
+    image (mpc and double, where deferring a division saves nothing), that
+    image over one; sigma and q^P' go on the numerator, and quotient is
+    an output's one division."""
+    mul, add = staticmethod(operator.mul), staticmethod(operator.add)
+
+    def __init__(self, s, one, q_power, quotient=operator.truediv,
+                 image=None):
+        self.s, self.one, self.zero = s, one, one * 0
+        self.q_power, self.quotient, self.image = q_power, quotient, image
+
+    def sides(self, row):
+        sigma, P, groups = row
+        if self.image:
+            num, den = self.image(groups), self.one
+        else:
+            num, den = _factors(groups, self.s)
+            num, den = _product(num, self.one), _product(den, self.one)
+        if P:
+            num = num * self.q_power(P)
+        return (-num if sigma < 0 else num), den
+
+
+def _ring(rows, ctx):
+    """ctx.ring, or where a fixed-point table meets a row of P' != 0 (its
+    q^P' is complex) mpc values, each row rounded once by that table."""
+    ring = ctx.ring
+    if isinstance(ring, _FixedPoint) and any(P for _, P, _ in rows):
+        return _Values(None, ctx.one, functools.partial(pow, ctx.q),
+                       image=ring.image)
+    return ring
+
+
+def _factors(groups, s):
+    """The powers (prod_{F_n = f} s_n)^|f| of a row's groups, those of
+    f > 0 and of f < 0 apart: one power per exponent."""
+    num, den = [], []
+    for f, g in groups:
+        g = _product([s[n] for n in g])
+        (num if f > 0 else den).append(g if abs(f) == 1 else g ** abs(f))
+    return num, den
+
+
+def _table_image(groups, s, one):
+    """prod_f (prod_{F_n = f} s_n)^f over a table of values, with one
+    division."""
+    num, den = _factors(groups, s)
+    out = _product(num, one)
+    return out / _product(den) if den else out
+
+
+def _product(factors, one=None):
+    return functools.reduce(operator.mul, factors) if factors else one
 
 
 def _row_sides(groups, s, scale, wide):
@@ -439,40 +509,10 @@ def _mul(x, y, wide):
     return _cut(x[0] * y[0], x[1] + y[1], wide)
 
 
-def _add(x, y, wide):
-    """Sum of two pairs (man, exp), formed exactly and cut to its top
-    `wide` bits."""
-    (xm, xe), (ym, ye) = x, y
-    if xe < ye:
-        (xm, xe), (ym, ye) = (ym, ye), (xm, xe)
-    return _cut((xm << (xe - ye)) + ym, ye, wide)
-
-
 def _cut(man, exp, wide):
     """man 2^exp with man cut to its top `wide` bits."""
     cut = man.bit_length() - wide
     return (man >> cut, exp + cut) if cut > 0 else (man, exp)
-
-
-def _quotient(num, den, prec):
-    """num / den, two pairs (man, exp), rounded once, to nearest, to prec
-    bits: the integer quotient is formed to at least prec + 64 bits, its
-    last bit set where the division leaves a remainder, so no exact
-    half-way case is invented.  A zero denominator raises
-    ZeroDivisionError."""
-    (nm, ne), (dm, de) = num, den
-    sign = int((nm < 0) != (dm < 0))
-    nm, dm = abs(nm), abs(dm)
-    shift = max(0, prec + 64 + dm.bit_length() - nm.bit_length())
-    man, rem = divmod(nm << shift, dm)
-    if rem:
-        man |= 1
-    return mp.make_mpf(normalize(sign, man, ne - de - shift,
-                                 man.bit_length(), prec, "n"))
-
-
-def _product(factors, one=None):
-    return functools.reduce(operator.mul, factors) if factors else one
 
 
 def evaluate(dcr, ctx):
@@ -485,17 +525,18 @@ def evaluate(dcr, ctx):
     root and rad are decided by their own orders.  The vanishing s_n of
     the live terms' rows take their limits.
 
-    On a fixed-point table (ctx.scale set: extended precision on the
-    unit circle and at its roots of unity) whose rows all have q-power
-    P' = 0, as every 6j's do, the sum is formed on integers
-    (_fixed_point_amplitude) and each of a, root and r is rounded once.
-    a is then within 0.5 ulp plus kappa W 2^-(bits + 62), relative, of
-    the value its own table entries give, kappa = sum_z |T_z| / |sum_z
-    T_z| and W the total weight of the cuts (a few per row entry), so
-    the error left is the table's.  A DCR with a row of P' != 0, and
-    every other table, multiplies the rows' images (_image) forward term
-    by term and adds the live ones, rounding at each step in its
-    arithmetic."""
+    Every arithmetic but double nests the sum in the context's ring as
+    one fraction A / B, S = R_0 A / B: from the last term walked inward,
+    each ratio's sides N_i / D_i take B <- D_i B and A <- N_i A, plus B
+    where l_{i-1} is set.  a = root R_0 A / B and root share one
+    denominator, and a, root and r are one quotient each.  On a
+    fixed-point table, every row of P' = 0, a is
+    then within 0.5 ulp plus kappa W 2^-(bits + 62), relative, of the
+    value its own table entries give, kappa = sum_z |T_z| / |sum_z T_z|
+    and W the weight of the cuts (_row_sides' T of every row walked,
+    three per ratio and four for a): the error left is the table's.
+    Double multiplies the rows' images (_image) forward term by term and
+    adds the live ones."""
     if ctx.d_max < dcr.d_max:
         raise ValueError("context covers d <= %d but DCR needs %d"
                          % (ctx.d_max, dcr.d_max))
@@ -530,64 +571,39 @@ def _walk(rows, h):
 
 
 def _evaluate_loop(dcr, ctx):
-    rows = dcr.rows
-    live = _walk(rows[:-2], ctx.vanishing_index)
-    if ctx.scale is not None and not any(P for _, P, _ in rows):
-        return _fixed_point_amplitude(rows, live, ctx)
-    term = _image(rows[0], ctx)
-    total = term if live[0] else ctx.one * 0
-    for i in range(1, len(live)):
-        term = term * _image(rows[i], ctx)
-        if live[i]:
-            total = total + term
-    root = _project(rows[-2], ctx)
-    a = root * total
-    r = _project(rows[-1], ctx)
+    rows, h = dcr.rows, ctx.vanishing_index
+    live = _walk(rows[:-2], h)
     if isinstance(ctx.tag, ComplexDouble):
+        term = _image(rows[0], ctx)
+        total = term if live[0] else ctx.one * 0
+        for i in range(1, len(live)):
+            term = term * _image(rows[i], ctx)
+            if live[i]:
+                total = total + term
+        root = _project(rows[-2], ctx)
+        a, r = root * total, _project(rows[-1], ctx)
         for v in (a, r):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ProjectionRangeError(
                     "evaluation overflowed double precision; "
                     "use an extended-precision tag")
-    return AmplitudeValue(a=a, r=r, root=root)
-
-
-def _fixed_point_amplitude(rows, live, ctx):
-    """evaluate on a fixed-point table, every row of q-power P' = 0.
-
-    The sum S = R_0 (l_0 + R_1 (l_1 + R_2 (l_2 + ...))), R_0 the base,
-    R_i the ratios and l_i the live flags, is nested from the last
-    walked term inward as one fraction A / B of pairs (man, exp): each
-    ratio's sides (_row_sides) take two products, B <- D_i B and
-    A <- N_i A, plus B where l_{i-1} is set, each cut to bits + 64 bits.
-    Then a = root R_0 A / B and root are one integer quotient each and r
-    is _rounded_row's, so each is rounded once.  A cut changes the terms
-    that follow it by under 2^(1 - wide), relative, so before that
-    rounding a is within W 2^(2 - wide) sum_z |root T_z| of the value
-    the table's entries give, W the weight of all cuts: _row_sides' T
-    of every row walked, three per ratio and four for a."""
-    h, s, scale = ctx.vanishing_index, ctx.s, ctx.scale
-    bits = ctx.tag.bits
-    wide = bits + 64
-
-    def sides(row):
-        sigma, _, groups = row
-        (nm, ne), den = _row_sides(groups, s, scale, wide)
-        return (-nm if sigma < 0 else nm, ne), den
-
-    A, B = (int(live[-1]), 0), (1, 0)
+        return AmplitudeValue(a=a, r=r, root=root)
+    ring = _ring(rows, ctx)
+    sides, mul, add = ring.sides, ring.mul, ring.add
+    A, B = (ring.one if live[-1] else ring.zero), ring.one
     for i in range(len(live) - 1, 0, -1):
         N, D = sides(rows[i])
-        B, A = _mul(D, B, wide), _mul(N, A, wide)
+        B, A = mul(D, B), mul(N, A)
         if live[i - 1]:
-            A = _add(A, B, wide)
+            A = add(A, B)
     if _vanishes(rows[-2], h):
         root = a = ctx.one * 0
     else:
+        # one denominator: Q(zeta_2h) inverts it far faster than root's own
         (rn, rd), (bn, bd) = sides(rows[-2]), sides(rows[0])
-        root = _quotient(rn, rd, bits)
-        a = _quotient(_mul(_mul(rn, bn, wide), A, wide),
-                      _mul(_mul(rd, bd, wide), B, wide), bits)
+        den = mul(mul(rd, bd), B)
+        root = ring.quotient(mul(mul(rn, bd), B), den)
+        a = ring.quotient(mul(mul(rn, bn), A), den)
     return AmplitudeValue(a=a, r=_project(rows[-1], ctx), root=root)
 
 

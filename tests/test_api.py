@@ -35,6 +35,6 @@ def test_every_name_resolves_and_none_is_a_module():
 
 def test_helpers_stay_in_their_submodules():
     for name in ("mul", "div", "ExponentVector", "ClassicalValue",
-                 "fold", "ratio_monomial"):
+                 "fold", "unfold"):
         assert not hasattr(qcyclo, name), name
 

@@ -10,12 +10,13 @@ from qcyclo import monomial, qfactor
 from qcyclo.compiler import (DCR, TRIADS, AdmissibilityError, AffineForm,
                              PhasePoly, SeriesDescriptor, SixJLabels, bounds,
                              compile_series, compile_sixj, dcr_from_json,
-                             dcr_to_json, ratio_monomial, series_from_sixj,
+                             dcr_to_json, series_from_sixj,
                              sixj_descriptor, triangle_admissible)
 from qcyclo.monomial import CycloMonomial, div, mul
 from qcyclo.qfactor import fold, qfact_monomial, qint_monomial, unfold
 
 from conftest import all_admissible_sixj
+from test_summation import chu_vandermonde
 
 ALL_ONES = SixJLabels(2, 2, 2, 2, 2, 2)
 HALF_MIX = SixJLabels(1, 1, 2, 1, 1, 2)
@@ -112,8 +113,7 @@ class TestDescriptor:
 
 class TestRatio:
     def test_all_ones_z3(self):
-        d = sixj_descriptor(ALL_ONES)
-        r = ratio_monomial(series_from_sixj(d), 3)
+        r = compile_sixj(ALL_ONES).ratios[0]  # z_min = 3
         assert r.sigma == -1 and r.P == -4
         assert dict(r.exps.items()) == {5: 1}
 
@@ -123,7 +123,8 @@ class TestRatio:
         # times the alternating sign
         desc = sixj_descriptor(SixJLabels(*tjs))
         series = series_from_sixj(desc)
-        z_min, z_max = bounds(series)
+        dcr = compile_series(series)
+        z_min, z_max = dcr.z_min, dcr.z_max
         if z_max == z_min:
             return
 
@@ -136,7 +137,7 @@ class TestRatio:
             return m
 
         for z in range(z_min, z_max):
-            got = ratio_monomial(series, z)
+            got = dcr.ratios[z - z_min]
             want = div(term(z + 1), term(z))
             assert want.sigma == 1
             assert got.sigma == -1
@@ -144,8 +145,7 @@ class TestRatio:
             assert dict(got.exps.items()) == dict(want.exps.items())
 
     def test_ratio_sign_alternates(self):
-        d = sixj_descriptor(ALL_ONES)
-        r = ratio_monomial(series_from_sixj(d), 3)
+        r = compile_sixj(ALL_ONES).ratios[0]
         assert r.sigma == -1
 
 
@@ -192,6 +192,18 @@ class TestRows:
             assert dcr.rows == tuple(map(fold, monos))
             assert dcr_from_json(dcr_to_json(dcr)).rows == dcr.rows
 
+    @given(sixj_strategy())
+    def test_every_row_is_the_fold_of_its_monomial(self, tjs):
+        # unfold reads s_n as [n] s_1 and [1] = 1, so it, and the JSON,
+        # which holds unfold's monomials, do not see a row's s_1 exponent;
+        # fold(unfold(row)) == row pins it, and the s_n exponents of a
+        # row sum to zero
+        for dcr in (compile_sixj(SixJLabels(*tjs)), compile_series(GENERAL),
+                    compile_series(chu_vandermonde(7, 4, 5)[0])):
+            for row in dcr.rows:
+                assert fold(unfold(row)) == row
+                assert sum(f * len(g) for f, g in row[2]) == 0
+
     def test_rows_unfold_to_their_monomials(self):
         # every ratio row unfolds to the factorial-step quotient, the base
         # row to the factorial product at z_min, and root^2 * rad to the
@@ -227,7 +239,7 @@ class TestRows:
                 rad=dcr.rad, z_min=dcr.z_min, z_max=dcr.z_max,
                 d_max=dcr.d_max)
 
-    def test_compile_builds_no_ratio_monomial(self, monkeypatch):
+    def test_compile_builds_no_monomial_per_ratio(self, monkeypatch):
         # with the factorial cache warm, a compile constructs as many
         # exponent vectors for 10 ratios as for 145
         built = []

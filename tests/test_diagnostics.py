@@ -9,29 +9,20 @@ from mpmath import mpf
 from qcyclo.cli import T1_REF, T3_LSE_F64, T4_GAMMA, T4_LOG10_KAPPA
 from qcyclo.compiler import SixJLabels
 from qcyclo.diagnostics import (_x_terms, diagnostics_sixj, dcr_eval_sixj,
-                                identity_checks, log_qint_table,
-                                lse_eval_sixj)
+                                identity_checks, lse_eval_sixj)
 from qcyclo.projection import ComplexDouble, ComplexExtended
 
 
 class TestLogQintTable:
-    def test_values_match_trig(self):
-        h, n_max = 17, 12
-        logq, lfact = log_qint_table(h, n_max)
-        assert logq[0] == 0.0 and lfact[0] == 0.0
-        for n in range(1, n_max + 1):
-            want = math.log(math.sin(n * math.pi / h) / math.sin(math.pi / h))
-            assert abs(logq[n] - want) < 1e-12
-        acc = 0.0
-        for n in range(1, n_max + 1):
-            acc += logq[n]
-            assert abs(lfact[n] - acc) < 1e-12
-
     def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            log_qint_table(2, 1)
-        with pytest.raises(ValueError):
-            log_qint_table(9, 9)
+        # the eager path's one range guard (_log_tables), through
+        # lse_eval_sixj: h < 3, and a sum that reaches a vanishing [n]!,
+        # [9]! at h = 9
+        for precision in ("double", 192):
+            with pytest.raises(ValueError, match="h must be >= 3"):
+                lse_eval_sixj(SixJLabels(2, 2, 2, 2, 2, 2), 2, precision)
+            with pytest.raises(ValueError, match=r"\[9\]!"):
+                lse_eval_sixj(SixJLabels(4, 4, 4, 4, 4, 4), 9, precision)
 
 
 class TestLseEval:

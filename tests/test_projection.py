@@ -16,8 +16,8 @@ from mpmath.libmp import from_man_exp
 
 from qcyclo import projection, qfactor
 from qcyclo.cli import T3_ROWS
-from qcyclo.compiler import (DCR, SixJLabels, compile_sixj, dcr_from_json,
-                             dcr_to_json, triangle_admissible)
+from qcyclo.compiler import (DCR, SixJLabels, compile_series, compile_sixj,
+                             dcr_from_json, dcr_to_json, triangle_admissible)
 from qcyclo.diagnostics import lse_eval_sixj
 from qcyclo.monomial import CycloMonomial, div, mul
 from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
@@ -30,6 +30,7 @@ from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
 from qcyclo.qfactor import qint_monomial
 
 from conftest import qracah_sixj_mp, racah_sixj_squared
+from test_summation import chu_vandermonde
 
 ALL_ONES = SixJLabels(2, 2, 2, 2, 2, 2)
 BRANCH_LABELS = SixJLabels(2, 2, 4, 3, 1, 3)
@@ -134,8 +135,7 @@ class TestLimitRule:
 
     def test_exact(self):
         ctx = make_context(RootOfUnityExact(5), 10)
-        assert project_monomial(self.RATIO, ctx) \
-            == ctx._field.from_rational(-2)
+        assert project_monomial(self.RATIO, ctx) == ctx.one * -2
 
     def test_classical(self):
         ctx = make_context(Classical(), 10)
@@ -175,7 +175,7 @@ class TestContexts:
 
 def entry(ctx, n):
     """s_n of a fixed-point table, S_n 2^-scale, as an exact mpf."""
-    return mp.make_mpf(from_man_exp(ctx.s[n], -ctx.scale))
+    return mp.make_mpf(from_man_exp(ctx.ring.s[n], -ctx.ring.scale))
 
 
 class TestExtendedSineTable:
@@ -199,7 +199,7 @@ class TestExtendedSineTable:
             q = point()
         ctx = make_context(ComplexExtended(bits), d_max, q=q)
         assert ctx.vanishing_index is None
-        assert all(isinstance(v, int) for v in ctx.s[1:])
+        assert all(isinstance(v, int) for v in ctx.ring.s[1:])
         with mp.workprec(2 * bits + 64):
             theta = mp.arg(q)
             for n in range(1, d_max + 1):
@@ -219,7 +219,8 @@ class TestExtendedSineTable:
                                       bits)
                 else:
                     # the limit (-1)^{an/h} n, exactly
-                    assert ctx.s[n] == (-1) ** (3 * n // h) * n * 2 ** ctx.scale
+                    assert ctx.ring.s[n] \
+                        == (-1) ** (3 * n // h) * n * 2 ** ctx.ring.scale
 
 
 def as_fraction(v):
@@ -426,7 +427,9 @@ class TestRoundedRow:
         # gives an exact zero in the numerator and ZeroDivisionError in the
         # denominator, as mpf arithmetic does
         ctx = circle_context(128, 9, False)
-        ctx = dataclasses.replace(ctx, s=[*ctx.s[:5], 0, *ctx.s[6:]])
+        s, scale = ctx.ring.s, ctx.ring.scale
+        ctx = dataclasses.replace(ctx, ring=projection._FixedPoint(
+            [*s[:5], 0, *s[6:]], scale, 128))
         assert projection._project((1, 0, ((1, (5,)), (-1, (1,)))), ctx) == 0
         with pytest.raises(ZeroDivisionError):
             projection._project((1, 0, ((1, (1,)), (-1, (5,)))), ctx)
@@ -491,7 +494,7 @@ def live_term_scale(dcr, ctx):
 
 class TestFixedPointChain:
     """On a fixed-point table a 6j's sum is nested on integers and a is
-    rounded once (projection._fixed_point_amplitude)."""
+    rounded once (projection._FixedPoint)."""
 
     # T3 rows j = 30, 50, 70 and the labels of perfbench's point-mp pools
     # at seeds 1, 3 and 7, all at k = 500
@@ -537,17 +540,18 @@ class TestFixedPointChain:
         # (len(g) + 2)|f| over its groups
         ctx = circle_context(128, 15, lattice)
         groups = qfactor.fold(m)[2]
-        sides = projection._row_sides(groups, ctx.s, ctx.scale, wide)
+        s, scale = ctx.ring.s, ctx.ring.scale
+        sides = projection._row_sides(groups, s, scale, wide)
         for (man, exp), den in zip(sides, (False, True)):
             exact, count, T = 1, 0, 0
             for f, g in groups:
                 if (f < 0) == den:
                     for n in g:
-                        exact *= ctx.s[n] ** abs(f)
+                        exact *= s[n] ** abs(f)
                     count += len(g) * abs(f)
                     T += (len(g) + 2) * abs(f)
             assert man.bit_length() <= wide
-            got = man * Fraction(2) ** (exp + ctx.scale * count)
+            got = man * Fraction(2) ** (exp + scale * count)
             assert abs(got - exact) <= T * Fraction(2) ** (2 - wide) * abs(exact)
 
     STRUCTURAL = (
@@ -622,10 +626,11 @@ def manual_series_amplitude(dcr, ctx, bits):
 
 
 def project_monomial_chain(dcr, ctx):
-    """A 6j symbol's walk over the ratios, up to the first of positive
-    order, every monomial projected by project_monomial, which folds it
-    afresh, and the product and sum formed forward in the context's
-    arithmetic: a and the terms root T_z walked."""
+    """A DCR's walk over the ratios, up to the first of positive order,
+    every monomial projected by project_monomial, which folds it afresh,
+    and the product and sum formed forward in the context's arithmetic:
+    a and the terms root T_z walked.  It is the walk of evaluate where no
+    ratio has negative order, as for a 6j and the series below."""
     h = ctx.vanishing_index
     bits = ctx.tag.bits if isinstance(ctx.tag, ComplexExtended) else mp.prec
     with mp.workprec(bits):
@@ -645,32 +650,58 @@ class TestEvaluate:
     CASES = ((ALL_ONES, 5), (ALL_ONES, 7), (SixJLabels(4, 4, 4, 4, 4, 4), 9),
              (SixJLabels(4, 4, 4, 4, 4, 4), 11), (BRANCH_LABELS, 8),
              (BRANCH_LABELS, 12), (HALF_MIX, 6))
+    # q-Chu-Vandermonde (m, n, N), whose rows have P' != 0: at h = 6 the
+    # first ratio of (6, 5, 4) and (7, 4, 5) vanishes, and h = 7 is past
+    # the d_max of (5, 6, 5)
+    SERIES = tuple((chu_vandermonde(m, n, N)[0], h) for m, n, N, h
+                   in ((6, 5, 4, 6), (7, 4, 5, 6), (5, 6, 5, 7)))
 
-    @pytest.mark.parametrize("labels,h", CASES)
+    @pytest.mark.parametrize("labels,h", CASES + SERIES)
     def test_built_rows_project_as_project_monomial(self, labels, h):
         # the rows a DCR is built with give bit for bit what folding each
         # monomial afresh gives in double, the exact field and the
-        # classical limit, which multiply forward as the chain does
-        dcr = compile_sixj(labels)
+        # classical limit, whether the sum is nested or multiplied forward
+        dcr = compile_sixj(labels) if isinstance(labels, SixJLabels) \
+            else compile_series(labels)
         for ctx in (root_of_unity_context(h, ComplexDouble(), dcr.d_max),
                     make_context(RootOfUnityExact(h), dcr.d_max),
                     make_context(Classical(), dcr.d_max)):
             assert evaluate(dcr, ctx).a == project_monomial_chain(dcr, ctx)[0]
-        # extended precision nests the sum on integers and rounds a once,
-        # within u |a| (u = 2^-bits) plus 2^-60 u S of the value of its
-        # table, S = sum_z |root T_z| over the m terms walked.  The forward
-        # chain rounds each of the z + 1 <= m rows of T_z once and its z
-        # products, (2m - 1) u |T_z|, the m - 1 partial sums, (m - 1) u S,
-        # and root's row and product, 2 u S: 3m u S to first order.  The
-        # two differ by under (3m + 2) u S.
+        # extended precision, u = 2^-bits and S = sum_z |root T_z| over the
+        # m terms walked, at the root (a fixed-point table) and off the
+        # circle (an mpc table)
         bits = 256
-        ctx = root_of_unity_context(h, ComplexExtended(bits), dcr.d_max)
-        got = evaluate(dcr, ctx).a
-        want, terms = project_monomial_chain(dcr, ctx)
         with mp.workprec(bits):
-            scale = sum(abs(t) for t in terms)
-            assert abs(got - want) \
-                <= (3 * len(terms) + 2) * mpf(2) ** -bits * scale
+            off_circle = mpf("1.03") * mp.expj(mpf("0.81"))
+        for ctx in (root_of_unity_context(h, ComplexExtended(bits), dcr.d_max),
+                    make_context(ComplexExtended(bits), dcr.d_max,
+                                 q=off_circle)):
+            got = evaluate(dcr, ctx).a
+            want, terms = project_monomial_chain(dcr, ctx)
+            m = len(terms)
+            if isinstance(ctx.ring, projection._FixedPoint) \
+                    and not any(P for _, P, _ in dcr.rows):
+                # nested on integers, a is rounded once, within u |a| plus
+                # 2^-60 u S of the value of its table.  The forward chain
+                # rounds each of the z + 1 <= m rows of T_z once and its z
+                # products, (2m - 1) u |T_z|, the m - 1 partial sums,
+                # (m - 1) u S, and root's row and product, 2 u S: 3m u S to
+                # first order.  The two differ by under (3m + 2) u S.
+                bound = 3 * m + 2
+            else:
+                # each row is its image rounded in mpmath, over one: both
+                # chains read the same rows.  An mpc product or sum rounds
+                # each part once, within u of its modulus.  The forward
+                # chain rounds T_z's z products, the m - 1 partial sums and
+                # the product by root: (2m - 1) u S.  The nested chain
+                # rounds a product and a sum at each of T_z's z levels and
+                # the two products by root and the base, and its quotient
+                # divides by one exactly: 2m u S.  The two differ by under
+                # 4m u S.
+                bound = 4 * m
+            with mp.workprec(bits):
+                scale = sum(abs(t) for t in terms)
+                assert abs(got - want) <= bound * mpf(2) ** -bits * scale
 
     @pytest.mark.parametrize("labels,h", CASES)
     def test_early_termination_matches_term_sum(self, labels, h):
