@@ -15,10 +15,11 @@ rad's cyclotomic exponents square-free and root's q-power zero over
 that basis.  The rows are the DCR: projections read them alone, and
 base, ratios, root and rad are monomials derived from them
 (qfactor.unfold) only when they are read.  Each ratio is a product of
-quantum integers [n] = s_n/s_1, so the compiler writes it straight into
-its row and builds no Phi_d monomial for it; the base and the two
-halves of the radicand's split are folded once.  No field arithmetic
-and no polynomial expansion happens anywhere in this module.
+quantum integers [n] = s_n/s_1, and the base a quotient of quantum
+factorials [n]! = prod_{k=2..n} s_k / s_1^(n-1), so the compiler counts
+both straight into their rows and builds no Phi_d monomial for them;
+only the two halves of the radicand's split are folded.  No field
+arithmetic and no polynomial expansion happens anywhere in this module.
 
 Convention: the (-1)^z of an alternating series is absorbed into the sign
 of the base term as (-1)^{z_min}, after which each ratio carries one
@@ -30,7 +31,8 @@ import json
 from dataclasses import dataclass
 
 from . import qfactor
-from .monomial import IDENTITY, CycloMonomial, _check64, div, mul, sqrt_split
+from .monomial import (IDENTITY, CycloMonomial, _check64, _json_int, div, mul,
+                       sqrt_split)
 
 
 class AdmissibilityError(ValueError):
@@ -250,22 +252,41 @@ def _ratio(desc, z):
     return qfactor.grouped(-1 if desc.alternating else 1, step, F)
 
 
+def _base(desc, z):
+    """The summand T_z as its row over s_n, counted from its factorial
+    arguments at z, with no Phi_d monomial.
+
+    [n]! = prod_{k=2..n} s_k / s_1^(n-1), so F[k], k >= 2, is the number
+    of numerator arguments >= k less the number of denominator ones (one
+    difference-array pass up to the largest argument), and F[1] is minus
+    their sum.  [n] folds to P' = 0, so the row's P' is the phase at z
+    and its sign (-1)^z where the series alternates."""
+    P = _check64(desc.phase.at(z), "q-power P'")
+    at_z = [(arg.at(z), way) for side, way in ((desc.num_args, 1),
+                                               (desc.den_args, -1))
+            for arg in side]
+    steps = [0] * (max(n for n, _ in at_z) + 2)
+    for n, way in at_z:
+        if n >= 2:
+            steps[2] += way
+            steps[n + 1] -= way
+    F, f = {}, 0
+    for k in range(2, len(steps) - 1):
+        f += steps[k]
+        F[k] = f
+    F[1] = -sum(F.values())
+    return qfactor.grouped((-1) ** (z % 2) if desc.alternating else 1, P, F)
+
+
 def compile_series(desc):
     """Assemble the DCR's rows: base summand at z_min, one exact ratio per
-    step, and the square-root split of the prefactor radicand.  The ratios
-    are built as rows; only the base and the two halves of the split are
-    folded."""
+    step, and the square-root split of the prefactor radicand.  The base
+    and the ratios are counted straight into rows; only the two halves of
+    the split are folded."""
     rng = bounds(desc)
     if rng is None:
         raise ValueError("empty summation range: series is identically zero")
     z_min, z_max = rng
-
-    base = CycloMonomial((-1) ** (z_min % 2) if desc.alternating else 1,
-                         desc.phase.at(z_min))
-    for arg in desc.num_args:
-        base = mul(base, qfactor.qfact_monomial(arg.at(z_min)))
-    for arg in desc.den_args:
-        base = div(base, qfactor.qfact_monomial(arg.at(z_min)))
 
     split = sqrt_split(desc.prefactor_radicand)
     # move the q-power that root keeps over the quantum-integer basis into
@@ -274,7 +295,7 @@ def compile_series(desc):
     # of quantum integers
     _, shift, root_groups = qfactor.fold(split.root)
     sigma, P, rad_groups = qfactor.fold(split.rad)
-    rows = (qfactor.fold(base),
+    rows = (_base(desc, z_min),
             *(_ratio(desc, z) for z in range(z_min, z_max)),
             (1, 0, root_groups),
             (sigma, _check64(P + 2 * shift, "q-power P'"), rad_groups))
@@ -307,7 +328,7 @@ def dcr_from_json(text):
     if missing:
         raise ValueError("DCR JSON missing keys: %s" % ", ".join(missing))
     for key in ("z_min", "z_max", "d_max"):
-        if not isinstance(obj[key], int):
+        if not _json_int(obj[key]):
             raise ValueError("DCR JSON field %s must be an integer" % key)
     if not isinstance(obj["ratios"], list):
         raise ValueError("DCR JSON field ratios must be a list")

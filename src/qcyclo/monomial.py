@@ -21,6 +21,12 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
+def _json_int(v):
+    """Whether a parsed JSON value is an integer: true and false are
+    not, although Python's bool subclasses int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check64(v, what):
     if v < _I64_MIN or v > _I64_MAX:
         raise OverflowError("%s exceeds the signed 64-bit envelope: %d" % (what, v))
@@ -130,10 +136,12 @@ class CycloMonomial:
             raw = obj["e"]
         except KeyError as exc:
             raise ValueError("malformed monomial object: missing %s" % exc) from None
-        if not isinstance(P, int):
+        if not (_json_int(sigma) and sigma in (1, -1)):
+            raise ValueError("malformed monomial object: sigma must be +1 or -1")
+        if not _json_int(P):
             raise ValueError("malformed monomial object: P must be an integer")
         if not (isinstance(raw, dict)
-                and all(isinstance(v, int) for v in raw.values())):
+                and all(_json_int(v) for v in raw.values())):
             raise ValueError("malformed monomial object: e must be an object "
                              "from index to integer exponent")
         return CycloMonomial(sigma, P, {int(d): v for d, v in raw.items()})

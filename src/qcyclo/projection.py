@@ -43,8 +43,9 @@ sides (sigma and q^P' applied), a product, a sum and one quotient per
 output.  Its four instances: integer pairs with 64 guard bits on a
 fixed-point table, so a, root and r are each rounded once and the
 rounding error of a does not grow with the condition number of the sum
-(up to about 2^50); Q(zeta_2h), with one inverse per output; the
-integers at q = 1, with one Fraction; and mpc values off the circle, or
+(up to about 2^50); Q(zeta_2h), where a and root share one inverse of
+their denominator and r has its own; the integers at q = 1, with one
+Fraction per output; and mpc values off the circle, or
 for a row of P' != 0 on it, each row rounded as it is formed.
 project_monomial is the one-row case, the quotient of the row's sides.
 Double multiplies the rows' images forward.
@@ -403,6 +404,9 @@ class _FixedPoint:
         return mp.make_mpf(normalize(sign, man, ne - de - shift,
                                      man.bit_length(), self.bits, "n"))
 
+    def quotients(self, nums, den):
+        return [self.quotient(num, den) for num in nums]
+
     def image(self, groups):
         return self.quotient(*self.sides((1, 0, groups)))
 
@@ -413,7 +417,10 @@ class _Values:
     entries of positive and of negative exponent, or, given a rounded
     image (mpc and double, where deferring a division saves nothing), that
     image over one; sigma and q^P' go on the numerator, and quotient is
-    an output's one division."""
+    an output's one division.  quotients divides several numerators by
+    one denominator: in Q(zeta_2h) each is a product by its one inverse,
+    which is exact; elsewhere each is its own division, so a rounded
+    quotient is rounded once."""
     mul, add = staticmethod(operator.mul), staticmethod(operator.add)
 
     def __init__(self, s, one, q_power, quotient=operator.truediv,
@@ -431,6 +438,12 @@ class _Values:
         if P:
             num = num * self.q_power(P)
         return (-num if sigma < 0 else num), den
+
+    def quotients(self, nums, den):
+        if isinstance(den, CycloNumber):
+            inverse = den.inverse()
+            return [num * inverse for num in nums]
+        return [self.quotient(num, den) for num in nums]
 
 
 def _ring(rows, ctx):
@@ -529,7 +542,8 @@ def evaluate(dcr, ctx):
     one fraction A / B, S = R_0 A / B: from the last term walked inward,
     each ratio's sides N_i / D_i take B <- D_i B and A <- N_i A, plus B
     where l_{i-1} is set.  a = root R_0 A / B and root share one
-    denominator, and a, root and r are one quotient each.  On a
+    denominator, and a, root and r are one quotient each; in Q(zeta_2h)
+    a and root are products by one inverse of theirs.  On a
     fixed-point table, every row of P' = 0, a is
     then within 0.5 ulp plus kappa W 2^-(bits + 62), relative, of the
     value its own table entries give, kappa = sum_z |T_z| / |sum_z T_z|
@@ -599,11 +613,11 @@ def _evaluate_loop(dcr, ctx):
     if _vanishes(rows[-2], h):
         root = a = ctx.one * 0
     else:
-        # one denominator: Q(zeta_2h) inverts it far faster than root's own
+        # one denominator: Q(zeta_2h) inverts it once, far faster than
+        # root's own
         (rn, rd), (bn, bd) = sides(rows[-2]), sides(rows[0])
-        den = mul(mul(rd, bd), B)
-        root = ring.quotient(mul(mul(rn, bd), B), den)
-        a = ring.quotient(mul(mul(rn, bn), A), den)
+        root, a = ring.quotients((mul(mul(rn, bd), B), mul(mul(rn, bn), A)),
+                                 mul(mul(rd, bd), B))
     return AmplitudeValue(a=a, r=_project(rows[-1], ctx), root=root)
 
 

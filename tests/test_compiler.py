@@ -269,21 +269,58 @@ class TestRows:
         assert compile_series(GENERAL).rows[2] == (
             1, 7, ((1, (1, 5, 10)), (-1, (2, 3, 7))))
 
-    @pytest.mark.parametrize("compile_once", (
-        lambda: compile_sixj(SixJLabels(*(20,) * 6)),
-        lambda: compile_series(GENERAL)), ids=("sixj", "general"))
-    def test_compile_folds_three_monomials(self, monkeypatch, compile_once):
-        # base, root and rad are folded; the ratios never are
+    @pytest.mark.parametrize("series", (
+        series_from_sixj(sixj_descriptor(SixJLabels(*(20,) * 6))), GENERAL),
+        ids=("sixj", "general"))
+    def test_compile_folds_two_monomials(self, monkeypatch, series):
+        # root and rad are folded; the base and the ratios are counted
+        # into their rows, with no factorial monomial and no merge
         calls = []
         real = qfactor.fold
 
         def counting(m):
             calls.append(m)
             return real(m)
+
+        def refuse(*args):
+            raise AssertionError("compile_series built a monomial product")
         monkeypatch.setattr(qfactor, "fold", counting)
-        dcr = compile_once()
+        monkeypatch.setattr(qfactor, "qfact_monomial", refuse)
+        monkeypatch.setattr(monomial.ExponentVector, "merge", refuse)
+        dcr = compile_series(series)
         assert len(dcr.ratios) > 3
-        assert len(calls) == 3
+        split = monomial.sqrt_split(series.prefactor_radicand)
+        assert calls == [split.root, split.rad]
+
+    @given(st.data())
+    def test_counted_base_is_the_fold_of_its_factorials(self, data):
+        # rows[0] of a random series is the fold of T_{z_min} built the
+        # old way, from qfact_monomial, mul and div: slopes -1, 0 and +1
+        # on both sides, slope-0 constants, a quadratic phase and both
+        # alternations.  Every slope +1 argument is >= 0 from z_lo on
+        # and every slope -1 one up to z_hi, so the range holds both.
+        z_lo = data.draw(st.integers(-4, 6))
+        z_hi = z_lo + data.draw(st.integers(0, 5))
+        gap = st.integers(0, 4)
+        arg = st.one_of(
+            gap.map(lambda k: AffineForm(k - z_lo, +1)),
+            gap.map(lambda k: AffineForm(z_hi + k, -1)),
+            st.integers(0, 9).map(lambda c: AffineForm(c, 0)))
+        args = st.lists(arg, max_size=4)
+        num, den = data.draw(args), data.draw(args)
+        # one slope +1 and one slope -1 argument bound the sum, both on
+        # one side or one on each
+        bound = data.draw(st.permutations(
+            [AffineForm(data.draw(gap) - z_lo, +1),
+             AffineForm(z_hi + data.draw(gap), -1)]))
+        cut = data.draw(st.integers(0, 2))
+        series = SeriesDescriptor(
+            num_args=num + bound[:cut], den_args=den + bound[cut:],
+            phase=PhasePoly(*data.draw(st.tuples(*[st.integers(-5, 5)] * 3))),
+            alternating=data.draw(st.booleans()))
+        dcr = compile_series(series)
+        assert dcr.z_min <= z_lo <= z_hi <= dcr.z_max
+        assert dcr.rows[0] == fold(base_oracle(series, dcr.z_min))
 
 
 class TestSerialization:
@@ -333,14 +370,36 @@ class TestSerialization:
         with pytest.raises(ValueError, match="ratios"):
             dcr_from_json(json.dumps(obj))
         # a wrong-typed field is a ValueError that names it
+        self.check_refused(((("ratios",), 5, "ratios"),
+                            (("z_min",), "0", "z_min"),
+                            (("base",), 5, "monomial"),
+                            (("ratios", 0), [], "monomial"),
+                            (("base", "e"), [], "e"),
+                            (("root", "e"), {"2": "1"}, "e"),
+                            (("rad", "P"), [], "P")))
+        with pytest.raises(ValueError, match="object"):
+            dcr_from_json("5")
+
+    def test_booleans_are_not_integers(self):
+        # JSON true and false parse as Python bools, which subclass int;
+        # each integer field refuses them by name, as of the wrong type
         good = json.loads(dcr_to_json(compile_sixj(SixJLabels(*(4,) * 6))))
-        for path, value, field in ((("ratios",), 5, "ratios"),
-                                   (("z_min",), "0", "z_min"),
-                                   (("base",), 5, "monomial"),
-                                   (("ratios", 0), [], "monomial"),
-                                   (("base", "e"), [], "e"),
-                                   (("root", "e"), {"2": "1"}, "e"),
-                                   (("rad", "P"), [], "P")):
+        d = next(iter(good["ratios"][0]["e"]))
+        self.check_refused(((("z_min",), True, "z_min must be"),
+                            (("z_max",), False, "z_max must be"),
+                            (("d_max",), True, "d_max must be"),
+                            (("base", "sigma"), True, "sigma must be"),
+                            (("ratios", 0, "sigma"), True, "sigma must be"),
+                            (("root", "P"), False, "P must be"),
+                            (("ratios", 0, "e", d), True, "e must be"),
+                            (("rad", "e", "2"), False, "e must be")))
+
+    @staticmethod
+    def check_refused(cases):
+        """Each (path, value, field): the (4,)*6 DCR's JSON with the value
+        at path is refused with a ValueError naming the field."""
+        good = json.loads(dcr_to_json(compile_sixj(SixJLabels(*(4,) * 6))))
+        for path, value, field in cases:
             obj = json.loads(json.dumps(good))
             parent = obj
             for key in path[:-1]:
@@ -348,8 +407,6 @@ class TestSerialization:
             parent[path[-1]] = value
             with pytest.raises(ValueError, match=field):
                 dcr_from_json(json.dumps(obj))
-        with pytest.raises(ValueError, match="object"):
-            dcr_from_json("5")
 
 
 class TestAffineForm:

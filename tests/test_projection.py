@@ -18,6 +18,7 @@ from qcyclo import projection, qfactor
 from qcyclo.cli import T3_ROWS
 from qcyclo.compiler import (DCR, SixJLabels, compile_series, compile_sixj,
                              dcr_from_json, dcr_to_json, triangle_admissible)
+from qcyclo.cyclofield import CycloNumber
 from qcyclo.diagnostics import lse_eval_sixj
 from qcyclo.monomial import CycloMonomial, div, mul
 from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
@@ -30,6 +31,7 @@ from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
 from qcyclo.qfactor import qint_monomial
 
 from conftest import qracah_sixj_mp, racah_sixj_squared
+from test_compiler import GENERAL
 from test_summation import chu_vandermonde
 
 ALL_ONES = SixJLabels(2, 2, 2, 2, 2, 2)
@@ -702,6 +704,67 @@ class TestEvaluate:
             with mp.workprec(bits):
                 scale = sum(abs(t) for t in terms)
                 assert abs(got - want) <= bound * mpf(2) ** -bits * scale
+
+    def test_general_series_off_the_circle(self):
+        # GENERAL's ratio rows have P' != 0, so off the circle each is an
+        # mpc image times q^P'.  The oracle forms each T_z from its
+        # q-factorials in plain mpmath at four times the bits, compiles
+        # nothing, and
+        # sums them; the prefactor is the principal square root of the
+        # radicand -q^7 Phi_3(q^2) [11]! / [4]!, as GENERAL defines it.
+        # An entry s_n = q^n - q^-n, from n rounded products and one
+        # division, is within (2n + 2) u (|q^n| + |q^-n|) / |s_n| of its
+        # value, under 66 u for n <= 11 at this q; the rows hold 68
+        # entries, counted with their |f|, and the chain rounds under
+        # 4m u S (above): under 2^13 u S in all, to first order, with
+        # S = sum_z |prefactor T_z|.  A row image that loses its q^P' or
+        # its sign is off by about S.
+        bits = 256
+        with mp.workprec(bits):
+            q = mpf("1.03") * mp.expj(mpf("0.81"))
+        dcr = compile_series(GENERAL)
+        ctx = make_context(ComplexExtended(bits), dcr.d_max, q=q)
+        assert any(P for _, P, _ in dcr.rows[1:-2])
+        got = amplitude_to_complex(evaluate(dcr, ctx), ctx)
+        with mp.workprec(4 * bits):
+            def qfact(n):
+                out = mpf(1)
+                for k in range(2, n + 1):
+                    out *= (q ** k - q ** -k) / (q - 1 / q)
+                return out
+            terms = []
+            for z in range(dcr.z_min, dcr.z_max + 1):
+                t = q ** GENERAL.phase.at(z) \
+                    * (-1) ** (z % 2 if GENERAL.alternating else 0)
+                for arg in GENERAL.num_args:
+                    t *= qfact(arg.at(z))
+                for arg in GENERAL.den_args:
+                    t /= qfact(arg.at(z))
+                terms.append(t)
+            prefactor = mp.sqrt(-q ** 7 * (q ** 4 + q ** 2 + 1)
+                                * qfact(11) / qfact(4))
+            scale = abs(prefactor) * sum(abs(t) for t in terms)
+            assert abs(got - prefactor * sum(terms)) \
+                <= mpf(2) ** (13 - bits) * scale
+
+    @pytest.mark.parametrize("labels,h", ((ALL_ONES, 5), (BRANCH_LABELS, 8),
+                                          (SixJLabels(4, 4, 4, 4, 4, 4), 11)))
+    def test_exact_evaluate_inverts_twice(self, monkeypatch, labels, h):
+        # a and root share one inverse of their denominator, and r has
+        # its own; a and root are still the quotients of their sides
+        dcr = compile_sixj(labels)
+        ctx = make_context(RootOfUnityExact(h), dcr.d_max)
+        want = evaluate(dcr, ctx)
+        calls = []
+        real = CycloNumber.inverse
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+        monkeypatch.setattr(CycloNumber, "inverse", counting)
+        assert evaluate(dcr, ctx) == want
+        assert len(calls) == 2
+        assert not want.root.is_zero()
 
     @pytest.mark.parametrize("labels,h", CASES)
     def test_early_termination_matches_term_sum(self, labels, h):
