@@ -3,8 +3,10 @@
 compile amortizes over a projection sweep.
 
 Two experiments:
-  size    serialized DCR bytes and term counts over j in a range at
-          k = 4j, with a log-log power-law fit
+  size    serialized DCR bytes, term counts and the tracemalloc peak of
+          one cold compile (caches cleared first) over j in a range at
+          k = 4j, with a log-log power-law fit of the bytes and of the
+          peak
   amortize cold-cache compile time at one j vs per-point time of the
           vectorized double sweep over a 1000-point grid
 
@@ -14,6 +16,7 @@ Results print as CSV on stdout; redirect to keep them.
 import argparse
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -22,17 +25,32 @@ from qcyclo.projection import SweepEvaluator
 from qcyclo.qfactor import clear_caches
 
 
-def size_study(js):
-    print("j,k,bytes,num_terms,d_max")
-    sizes = []
-    for j in js:
+def cold_compile(j):
+    """The DCR of the symmetric 6j of spin j and the peak bytes traced
+    while compiling it with cleared caches."""
+    clear_caches()
+    tracemalloc.start()
+    try:
         dcr = compile_sixj(SixJLabels(*(2 * j,) * 6))
+        return dcr, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def size_study(js):
+    print("j,k,bytes,num_terms,d_max,compile_peak_bytes")
+    sizes, peaks = [], []
+    for j in js:
+        dcr, peak = cold_compile(j)
         n = len(dcr_to_json(dcr))
         sizes.append(n)
-        print("%d,%d,%d,%d,%d" % (j, 4 * j, n, dcr.num_terms(), dcr.d_max))
-    slope, intercept = np.polyfit(np.log(js), np.log(sizes), 1)
-    print("# power-law fit: bytes ~ %.2f * j^%.3f"
-          % (np.exp(intercept), slope), file=sys.stderr)
+        peaks.append(peak)
+        print("%d,%d,%d,%d,%d,%d" % (j, 4 * j, n, dcr.num_terms(), dcr.d_max,
+                                     peak))
+    for name, ys in (("bytes", sizes), ("compile peak bytes", peaks)):
+        slope, intercept = np.polyfit(np.log(js), np.log(ys), 1)
+        print("# power-law fit: %s ~ %.2f * j^%.3f"
+              % (name, np.exp(intercept), slope), file=sys.stderr)
 
 
 def amortize_study(j, points, repeats):

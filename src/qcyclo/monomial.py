@@ -15,6 +15,7 @@ checks: Python ints never wrap, but anything outside that envelope means
 the calling series is far beyond desk scale and almost certainly a bug.
 """
 
+import re
 from dataclasses import dataclass
 
 _I64_MIN = -(1 << 63)
@@ -144,6 +145,12 @@ class CycloMonomial:
                 and all(_json_int(v) for v in raw.values())):
             raise ValueError("malformed monomial object: e must be an object "
                              "from index to integer exponent")
+        for d in raw:
+            # canonical decimal only, str(int(d)) == d: int() would also
+            # take " 3", "+3" and "03", so two keys could name one index
+            if not re.fullmatch("0|-?[1-9][0-9]*", d):
+                raise ValueError("malformed monomial object: e has the key "
+                                 "%r, not a decimal index" % d)
         return CycloMonomial(sigma, P, {int(d): v for d, v in raw.items()})
 
 

@@ -36,22 +36,32 @@ Evaluating a DCR walks the ratio chain once by each term's running
 vanishing order, which decides the live terms (order zero), where the
 sum stops and whether it has a pole, and returns the amplitude as a pair
 (a, r) meaning a * sqrt(r); for a 6j every row has P' = 0, so on the
-unit circle a, r and root are real.  Every arithmetic but double nests
-the sum, S = R_0 (l_0 + R_1 (l_1 + ...)) over the rows R_i and live
-flags l_i, as one fraction in a small ring, which gives a row's two
+unit circle a, r and root are real.
+
+make_context is the one place an arithmetic is decided: it gives each
+context one ring, and project_monomial, evaluate and amplitude_to_complex
+ask that ring and read no tag.  A ring has precision(), the mpmath
+precision to work at (mp.workprec(bits) for extended precision, else a
+null context); project(row), a row's image, the quotient of its sides;
+for_rows(rows), the ring those rows are formed in; and forward, set for
+double alone.
+Every ring but double's nests the sum, S = R_0 (l_0 + R_1 (l_1 + ...))
+over the rows R_i and live flags l_i, as one fraction, from a row's two
 sides (sigma and q^P' applied), a product, a sum and one quotient per
-output.  Its four instances: integer pairs with 64 guard bits on a
+output.  Its instances: integer pairs with 64 guard bits on a
 fixed-point table, so a, root and r are each rounded once and the
 rounding error of a does not grow with the condition number of the sum
-(up to about 2^50); Q(zeta_2h), where a and root share one inverse of
-their denominator and r has its own; the integers at q = 1, with one
-Fraction per output; and mpc values off the circle, or
-for a row of P' != 0 on it, each row rounded as it is formed.
-project_monomial is the one-row case, the quotient of the row's sides.
-Double multiplies the rows' images forward.
+(up to about 2^50), and whose for_rows gives, for rows of P' != 0, one
+mpc ring of each row rounded once; Q(zeta_2h), where a and root share
+one inverse of their denominator and r has its own; the integers at
+q = 1, with one Fraction per output; and mpc values off the circle, each
+row rounded as it is formed.  The double ring multiplies the rows'
+images forward, and its project raises ProjectionRangeError past double
+range.
 """
 
 import cmath
+import contextlib
 import functools
 import math
 import operator
@@ -123,7 +133,7 @@ class AmplitudeValue:
 @dataclass(frozen=True, eq=False)
 class ProjectionContext:
     """Immutable bundle: field tag, q, the output arithmetic's one, the
-    vanishing index and the ring that evaluate nests a sum in; the ring
+    vanishing index and the ring that decides the arithmetic; the ring
     holds the table s[n], n = 1..d_max, the vanishing entries already
     replaced by their limits."""
     tag: object
@@ -280,13 +290,15 @@ def make_context(tag, d_max, q=None):
             raise ValueError("q must be nonzero")
         if isinstance(tag, ComplexDouble):
             (q, s, h), W, one = _double_table(complex(q), d_max), None, 1.0
+            rounded = _Double
         else:
             u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
                 else mpf(2) ** -tag.bits
             with mp.workprec(tag.bits):
                 q = mpc(q)
             (q, s, h, W), one = _extended_table(q, d_max, u, tag.bits), mpf(1)
-        ring = _FixedPoint(s, W, tag.bits) if W is not None else _Values(
+            rounded = functools.partial(_Values, bits=tag.bits)
+        ring = _FixedPoint(s, W, tag.bits, q) if W is not None else rounded(
             None, one, functools.partial(pow, q),
             image=functools.partial(_table_image, s=s, one=one))
         return ProjectionContext(tag, q, one, d_max, h, ring)
@@ -315,10 +327,8 @@ def project_monomial(m, ctx):
     if m.max_index() > ctx.d_max:
         raise ValueError("monomial index %d exceeds context d_max %d"
                          % (m.max_index(), ctx.d_max))
-    if isinstance(ctx.tag, ComplexExtended):
-        with mp.workprec(ctx.tag.bits):
-            return _project(fold(m), ctx)
-    return _project(fold(m), ctx)
+    with ctx.ring.precision():
+        return _project(fold(m), ctx)
 
 
 def _order(row, h):
@@ -339,55 +349,109 @@ def _vanishes(row, h):
 def _project(row, ctx):
     """Image of the monomial whose row is given: zero or a pole where the
     row's order at the vanishing index is positive or negative, else the
-    quotient of the row's sides in its ring (_image in double)."""
+    row's projection in the ring its context gives for it."""
     if _vanishes(row, ctx.vanishing_index):
         return ctx.one * 0
-    if isinstance(ctx.tag, ComplexDouble):
-        return _image(row, ctx)
-    ring = _ring((row,), ctx)
-    return ring.quotient(*ring.sides(row))
+    return ctx.ring.for_rows((row,)).project(row)
 
 
-def _image(row, ctx):
-    """A row's image in double, its ring's numerator side, every vanishing
-    s_n at its limit; a value past double range raises
-    ProjectionRangeError."""
-    try:
-        out = ctx.ring.sides(row)[0]
-    except (OverflowError, ZeroDivisionError):
-        # x ** int raises instead of returning inf, and an underflowed
-        # denominator divides by zero
-        out = math.inf
-    if not 0 < abs(out) < math.inf:
-        raise ProjectionRangeError("projection left double precision range; "
-                                   "use an extended-precision tag")
-    return out
+class _Ring:
+    """The one place an arithmetic is decided.  A context's ring gives
+    precision, the mpmath precision it and every ring it gives work at
+    (mp.workprec(bits) for an extended-precision ring, else a null
+    context); project, a row's image, the quotient of its sides;
+    for_rows, the ring that given rows are formed in, itself unless a
+    subclass says otherwise; and forward, set where evaluate multiplies
+    the chain forward rather than nests it."""
+    bits, forward = None, False
+
+    def precision(self):
+        return mp.workprec(self.bits) if self.bits else contextlib.nullcontext()
+
+    def project(self, row):
+        return self.quotient(*self.sides(row))
+
+    def for_rows(self, rows):
+        return self
 
 
-class _FixedPoint:
+class _FixedPoint(_Ring):
     """The ring of a fixed-point table s, s_n = S_n 2^-scale, on pairs
     (man, exp), man 2^exp: a row's sides are _row_sides', sigma on the
     numerator, every product and sum is cut to wide = bits + 64 bits, and
-    a quotient is rounded once, to bits.  Its rows have P' = 0 (_ring);
-    image rounds a row once, within 0.5 ulp plus a few 2^-62 ulp of the
-    exact product of its entries."""
+    a quotient is rounded once, to bits: project rounds a row once,
+    within 0.5 ulp plus a few 2^-62 ulp of the exact product of its
+    entries.  for_rows sends rows with a P' != 0 (their q^P' is complex)
+    to one mpc ring, made on first use, whose sides are each row's image
+    here (sigma and q^P' left off) over one."""
     one, zero = (1, 0), (0, 0)
 
-    def __init__(self, s, scale, bits):
+    def __init__(self, s, scale, bits, q):
         self.s, self.scale, self.bits, self.wide = s, scale, bits, bits + 64
+        self.q = q
+
+    def for_rows(self, rows):
+        return self._complex if any(P for _, P, _ in rows) else self
+
+    @functools.cached_property
+    def _complex(self):
+        return _Values(None, mpf(1), functools.partial(pow, self.q),
+                       image=lambda groups: self.project((1, 0, groups)))
 
     def sides(self, row):
-        (nm, ne), den = _row_sides(row[2], self.s, self.scale, self.wide)
+        (nm, ne), den = self._row_sides(row[2])
         return (-nm if row[0] < 0 else nm, ne), den
 
+    def _row_sides(self, groups):
+        """The numerator and denominator of prod_f (prod_{F_n = f} s_n)^f,
+        each a pair (man, exp) meaning man 2^exp, man a signed integer of
+        at most `wide` bits.
+
+        The sides are formed on the integers S_n themselves, each factor
+        adding -scale to the exponent, and every product is cut to its top
+        wide bits once it grows past them: each entry of a group, each
+        squaring and multiply that raises the group to |f| (_power), and
+        the group's product into its side.  A cut changes its value by
+        under 2^(1 - wide), relative, and the power that follows it
+        multiplies that by |f| (a group entry) or by at most 2(|f| - 1) in
+        all (the squarings), so a side is within T 2^(2 - wide) of the
+        exact product of its entries, relative, T = sum (len(g) + 2)|f|
+        over its groups."""
+        s, scale, wide = self.s, self.scale, self.wide
+        sides = [(1, 0), (1, 0)]
+        for f, g in groups:
+            man, exp = 1, -scale * len(g)
+            for n in g:
+                man *= s[n]
+                cut = man.bit_length() - wide
+                if cut > 0:
+                    man >>= cut
+                    exp += cut
+            sides[f < 0] = self.mul(sides[f < 0],
+                                    self._power((man, exp), abs(f)))
+        return sides
+
+    def _power(self, x, k):
+        """x^k, k >= 1, by left-to-right squaring, each product cut to
+        wide bits."""
+        out = x
+        for bit in bin(k)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, x)
+        return out
+
+    def _cut(self, man, exp):
+        """man 2^exp with man cut to its top `wide` bits."""
+        cut = man.bit_length() - self.wide
+        return (man >> cut, exp + cut) if cut > 0 else (man, exp)
+
     def mul(self, x, y):
-        return _cut(x[0] * y[0], x[1] + y[1], self.wide)
+        return self._cut(x[0] * y[0], x[1] + y[1])
 
     def add(self, x, y):
-        (xm, xe), (ym, ye) = x, y
-        if xe < ye:
-            (xm, xe), (ym, ye) = (ym, ye), (xm, xe)
-        return _cut((xm << (xe - ye)) + ym, ye, self.wide)
+        (xm, xe), (ym, ye) = (x, y) if x[1] >= y[1] else (y, x)
+        return self._cut((xm << (xe - ye)) + ym, ye)
 
     def quotient(self, num, den):
         """num / den rounded once, to nearest: the integer quotient is
@@ -407,11 +471,8 @@ class _FixedPoint:
     def quotients(self, nums, den):
         return [self.quotient(num, den) for num in nums]
 
-    def image(self, groups):
-        return self.quotient(*self.sides((1, 0, groups)))
 
-
-class _Values:
+class _Values(_Ring):
     """The ring of the arithmetic's own values: Q(zeta_2h), the integers
     at q = 1, mpc or double.  A row's sides are the products of its
     entries of positive and of negative exponent, or, given a rounded
@@ -424,8 +485,8 @@ class _Values:
     mul, add = staticmethod(operator.mul), staticmethod(operator.add)
 
     def __init__(self, s, one, q_power, quotient=operator.truediv,
-                 image=None):
-        self.s, self.one, self.zero = s, one, one * 0
+                 image=None, bits=None):
+        self.s, self.one, self.zero, self.bits = s, one, one * 0, bits
         self.q_power, self.quotient, self.image = q_power, quotient, image
 
     def sides(self, row):
@@ -446,14 +507,23 @@ class _Values:
         return [self.quotient(num, den) for num in nums]
 
 
-def _ring(rows, ctx):
-    """ctx.ring, or where a fixed-point table meets a row of P' != 0 (its
-    q^P' is complex) mpc values, each row rounded once by that table."""
-    ring = ctx.ring
-    if isinstance(ring, _FixedPoint) and any(P for _, P, _ in rows):
-        return _Values(None, ctx.one, functools.partial(pow, ctx.q),
-                       image=ring.image)
-    return ring
+class _Double(_Values):
+    """The double ring, whose chain evaluate multiplies forward: a row's
+    image is its numerator side, every vanishing s_n at its limit, and a
+    value past double range raises ProjectionRangeError."""
+    forward = True
+
+    def project(self, row):
+        try:
+            out = self.sides(row)[0]
+        except (OverflowError, ZeroDivisionError):
+            # x ** int raises instead of returning inf, and an underflowed
+            # denominator divides by zero
+            out = math.inf
+        if not 0 < abs(out) < math.inf:
+            raise ProjectionRangeError("projection left double precision "
+                                       "range; use an extended-precision tag")
+        return out
 
 
 def _factors(groups, s):
@@ -478,56 +548,6 @@ def _product(factors, one=None):
     return functools.reduce(operator.mul, factors) if factors else one
 
 
-def _row_sides(groups, s, scale, wide):
-    """The numerator and denominator of prod_f (prod_{F_n = f} s_n)^f over
-    a fixed-point table, each a pair (man, exp) meaning man 2^exp, man a
-    signed integer of at most `wide` bits.
-
-    The sides are formed on the integers S_n themselves, each factor
-    adding -scale to the exponent, and every product is cut to its top
-    wide bits once it grows past them: each entry of a group, each
-    squaring and multiply that raises the group to |f| (_power), and the
-    group's product into its side.  A cut changes its value by under
-    2^(1 - wide), relative, and the power that follows it multiplies that
-    by |f| (a group entry) or by at most 2(|f| - 1) in all (the
-    squarings), so a side is within T 2^(2 - wide) of the exact product
-    of its entries, relative, T = sum (len(g) + 2)|f| over its groups."""
-    sides = [(1, 0), (1, 0)]
-    for f, g in groups:
-        man, exp = 1, -scale * len(g)
-        for n in g:
-            man *= s[n]
-            cut = man.bit_length() - wide
-            if cut > 0:
-                man >>= cut
-                exp += cut
-        sides[f < 0] = _mul(sides[f < 0], _power((man, exp), abs(f), wide),
-                            wide)
-    return sides
-
-
-def _power(x, k, wide):
-    """x^k, k >= 1, by left-to-right squaring, each product cut to wide
-    bits."""
-    out = x
-    for bit in bin(k)[3:]:
-        out = _mul(out, out, wide)
-        if bit == "1":
-            out = _mul(out, x, wide)
-    return out
-
-
-def _mul(x, y, wide):
-    """Product of two pairs (man, exp), cut to its top `wide` bits."""
-    return _cut(x[0] * y[0], x[1] + y[1], wide)
-
-
-def _cut(man, exp, wide):
-    """man 2^exp with man cut to its top `wide` bits."""
-    cut = man.bit_length() - wide
-    return (man >> cut, exp + cut) if cut > 0 else (man, exp)
-
-
 def evaluate(dcr, ctx):
     """Projected sum, returned as AmplitudeValue(a = Pi(root) * sum,
     r = Pi(rad)).
@@ -538,8 +558,9 @@ def evaluate(dcr, ctx):
     root and rad are decided by their own orders.  The vanishing s_n of
     the live terms' rows take their limits.
 
-    Every arithmetic but double nests the sum in the context's ring as
-    one fraction A / B, S = R_0 A / B: from the last term walked inward,
+    Every arithmetic but double nests the sum, in the ring the context's
+    ring gives for the rows (for_rows) and at its precision, as one
+    fraction A / B, S = R_0 A / B: from the last term walked inward,
     each ratio's sides N_i / D_i take B <- D_i B and A <- N_i A, plus B
     where l_{i-1} is set.  a = root R_0 A / B and root share one
     denominator, and a, root and r are one quotient each; in Q(zeta_2h)
@@ -549,15 +570,13 @@ def evaluate(dcr, ctx):
     value its own table entries give, kappa = sum_z |T_z| / |sum_z T_z|
     and W the weight of the cuts (_row_sides' T of every row walked,
     three per ratio and four for a): the error left is the table's.
-    Double multiplies the rows' images (_image) forward term by term and
-    adds the live ones."""
+    The double ring (forward) multiplies the rows' images (project)
+    forward term by term and adds the live ones."""
     if ctx.d_max < dcr.d_max:
         raise ValueError("context covers d <= %d but DCR needs %d"
                          % (ctx.d_max, dcr.d_max))
-    if isinstance(ctx.tag, ComplexExtended):
-        with mp.workprec(ctx.tag.bits):
-            return _evaluate_loop(dcr, ctx)
-    return _evaluate_loop(dcr, ctx)
+    with ctx.ring.precision():
+        return _evaluate_loop(dcr, ctx, ctx.ring.for_rows(dcr.rows))
 
 
 def _walk(rows, h):
@@ -584,25 +603,22 @@ def _walk(rows, h):
     return live
 
 
-def _evaluate_loop(dcr, ctx):
+def _evaluate_loop(dcr, ctx, ring):
     rows, h = dcr.rows, ctx.vanishing_index
     live = _walk(rows[:-2], h)
-    if isinstance(ctx.tag, ComplexDouble):
-        term = _image(rows[0], ctx)
-        total = term if live[0] else ctx.one * 0
+    if ring.forward:
+        term = ring.project(rows[0])
+        total = term if live[0] else ring.zero
         for i in range(1, len(live)):
-            term = term * _image(rows[i], ctx)
+            term = term * ring.project(rows[i])
             if live[i]:
                 total = total + term
         root = _project(rows[-2], ctx)
         a, r = root * total, _project(rows[-1], ctx)
-        for v in (a, r):
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ProjectionRangeError(
-                    "evaluation overflowed double precision; "
-                    "use an extended-precision tag")
+        if not (cmath.isfinite(a) and cmath.isfinite(r)):
+            raise ProjectionRangeError("evaluation overflowed double precision"
+                                       "; use an extended-precision tag")
         return AmplitudeValue(a=a, r=r, root=root)
-    ring = _ring(rows, ctx)
     sides, mul, add = ring.sides, ring.mul, ring.add
     A, B = (ring.one if live[-1] else ring.zero), ring.one
     for i in range(len(live) - 1, 0, -1):
@@ -643,10 +659,9 @@ def amplitude_to_complex(v, ctx, bits=256):
     if isinstance(a, Fraction):
         root = complex(v.root) if v.root is not None else None
         return complex(a) * _branch_sqrt(complex(r), root, cmath.sqrt)
-    if isinstance(ctx.tag, ComplexExtended):
-        with mp.workprec(ctx.tag.bits):
-            return a * _branch_sqrt(r, v.root, mp.sqrt)
-    return a * _branch_sqrt(r, v.root, cmath.sqrt)
+    with ctx.ring.precision():
+        return a * _branch_sqrt(r, v.root,
+                                mp.sqrt if ctx.ring.bits else cmath.sqrt)
 
 
 def classical_project(dcr):

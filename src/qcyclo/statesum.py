@@ -26,6 +26,7 @@ from mpmath import mp
 
 from . import projection
 from .compiler import TRIADS, SixJLabels, compile_sixj, triangle_admissible
+from .monomial import _json_int
 from .qfactor import qint_monomial
 
 _COLUMN_PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -61,8 +62,14 @@ class Triangulation:
     boundary: dict
 
     def __post_init__(self):
-        if self.num_vertices < 0:
-            raise ValueError("num_vertices must be nonnegative")
+        # true and false are refused although Python's bool subclasses int
+        if not _json_int(self.num_vertices) or self.num_vertices < 0:
+            raise ValueError("num_vertices must be a nonnegative integer")
+        for name in itertools.chain(self.edges, *self.tetrahedra,
+                                    self.boundary):
+            if not _edge_name(name):
+                raise ValueError("edge name %r is not a string or an integer"
+                                 % (name,))
         known = set(self.edges)
         if len(known) != len(self.edges):
             raise ValueError("duplicate edge name")
@@ -79,7 +86,7 @@ class Triangulation:
         for name, tj in self.boundary.items():
             if name not in known:
                 raise ValueError("boundary color on unknown edge %r" % (name,))
-            if not isinstance(tj, int) or tj < 0:
+            if not _json_int(tj) or tj < 0:
                 raise ValueError(
                     "boundary color for %r must be a nonnegative twice-spin"
                     % (name,))
@@ -87,6 +94,12 @@ class Triangulation:
     @property
     def interior_edges(self):
         return tuple(e for e in self.edges if e not in self.boundary)
+
+
+def _edge_name(name):
+    """Whether name can name an edge: a string or an integer, not a
+    bool."""
+    return isinstance(name, str) or _json_int(name)
 
 
 def triangulation_from_json(text):
@@ -101,11 +114,9 @@ def triangulation_from_json(text):
             raise ValueError("malformed triangulation object: missing %s" % key)
 
     def names(seq):
-        return isinstance(seq, list) and all(isinstance(n, (str, int))
-                                             for n in seq)
+        return isinstance(seq, list) and all(map(_edge_name, seq))
     for key, ok, what in (
-            ("num_vertices", isinstance(obj["num_vertices"], int),
-             "an integer"),
+            ("num_vertices", _json_int(obj["num_vertices"]), "an integer"),
             ("edges", names(obj["edges"]), "a list of edge names"),
             ("tetrahedra", isinstance(obj["tetrahedra"], list)
              and all(map(names, obj["tetrahedra"])),

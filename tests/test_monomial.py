@@ -1,5 +1,6 @@
 import ast
 import importlib.resources
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +95,31 @@ class TestSerialization:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             CycloMonomial.from_json_dict({"sigma": 1, "P": 0})
+
+    @pytest.mark.parametrize("key", (" 3", "+3", "03", "3 ", "-03"))
+    def test_index_key_not_canonical(self, key):
+        # int() reads each of these as an index, but it is not the key
+        # to_json_dict writes for one
+        with pytest.raises(ValueError,
+                           match=re.escape("e has the key %r" % key)):
+            CycloMonomial.from_json_dict({"sigma": 1, "P": 0, "e": {key: 1}})
+
+    def test_two_keys_for_one_index(self):
+        # "3" and " 3" would both load as index 3, the later one winning
+        with pytest.raises(ValueError, match="e has the key ' 3'"):
+            CycloMonomial.from_json_dict(
+                {"sigma": 1, "P": 0, "e": {"3": 1, " 3": 2}})
+
+    @pytest.mark.parametrize("key", ("x", "1e3", "", "3.0", "1_0", "\u0663"))
+    def test_index_key_not_an_integer(self, key):
+        # refused with the field named, not int()'s "invalid literal"
+        with pytest.raises(ValueError, match="e has the key"):
+            CycloMonomial.from_json_dict({"sigma": 1, "P": 0, "e": {key: 1}})
+
+    def test_canonical_keys_load(self):
+        m = CycloMonomial.from_json_dict(
+            {"sigma": -1, "P": 2, "e": {"3": 1, "10": -2}})
+        assert m == CycloMonomial(-1, 2, {3: 1, 10: -2})
 
 
 def test_package_has_no_global_statement():

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
 from qcyclo import projection, qfactor
@@ -431,7 +432,7 @@ class TestRoundedRow:
         ctx = circle_context(128, 9, False)
         s, scale = ctx.ring.s, ctx.ring.scale
         ctx = dataclasses.replace(ctx, ring=projection._FixedPoint(
-            [*s[:5], 0, *s[6:]], scale, 128))
+            [*s[:5], 0, *s[6:]], scale, 128, ctx.q))
         assert projection._project((1, 0, ((1, (5,)), (-1, (1,)))), ctx) == 0
         with pytest.raises(ZeroDivisionError):
             projection._project((1, 0, ((1, (1,)), (-1, (5,)))), ctx)
@@ -536,14 +537,15 @@ class TestFixedPointChain:
     @pytest.mark.parametrize("wide", (24, 117, 320))
     @given(m=monomials(max_d=15, max_e=9))
     def test_row_sides_within_stated_bound(self, wide, lattice, m):
-        # each side (man, exp) of _row_sides, every product cut to wide
-        # bits and each group raised by squaring, is within T 2^(2 - wide)
-        # of the exact product of its entries, relative, T = sum
-        # (len(g) + 2)|f| over its groups
+        # each side (man, exp) of _FixedPoint._row_sides, every product
+        # cut to wide bits and each group raised by squaring, is within
+        # T 2^(2 - wide) of the exact product of its entries, relative,
+        # T = sum (len(g) + 2)|f| over its groups
         ctx = circle_context(128, 15, lattice)
         groups = qfactor.fold(m)[2]
         s, scale = ctx.ring.s, ctx.ring.scale
-        sides = projection._row_sides(groups, s, scale, wide)
+        ring = projection._FixedPoint(s, scale, wide - 64, ctx.q)
+        sides = ring._row_sides(groups)
         for (man, exp), den in zip(sides, (False, True)):
             exact, count, T = 1, 0, 0
             for f, g in groups:
@@ -862,6 +864,101 @@ class TestFoldOnce:
             assert [evaluate(dcr, c) for c in cs] == values
             assert np.array_equal(SweepEvaluator(dcr).amplitudes(qs), swept,
                                   equal_nan=True)
+
+
+def mpf_digest(values):
+    """sha256 of the _mpf_ tuples of mpmath values, an mpc's as its pair."""
+    def key(v):
+        parts = v._mpc_ if isinstance(v, mpc) else (v._mpf_,)
+        return [(sign, int(man), exp, bc) for sign, man, exp, bc in parts]
+    return hashlib.sha256(repr([key(v) for v in values]).encode()).hexdigest()
+
+
+class TestRing:
+    """Each context's ring decides its arithmetic: the bits evaluate
+    returns, and the rings it builds."""
+
+    @staticmethod
+    def extended_cases():
+        """name -> [(dcr, ctx)] over the extended-precision rings."""
+        with mp.workprec(256):
+            off_circle = mpf("1.03") * mp.expj(mpf("0.81"))
+        general = compile_series(GENERAL)
+        series = [compile_series(chu_vandermonde(*mnN)[0])
+                  for mnN in ((6, 5, 4), (5, 6, 5))]
+
+        def circle(labels, h, bits):
+            dcr = compile_sixj(SixJLabels(*labels))
+            return dcr, root_of_unity_context(h, ComplexExtended(bits),
+                                              dcr.d_max)
+        return {
+            # labels of perfbench's point-mp pools at k = 500
+            "point-mp 256": [circle(t, 502, 256) for t in (
+                (32, 31, 39, 40, 31, 35), (29, 47, 50, 49, 57, 52),
+                (21, 28, 39, 59, 48, 47))],
+            "point-mp 2048": [circle((33, 39, 36, 32, 30, 39), 502, 2048)],
+            "vanishing entries": [circle((4,) * 6, 9, 256),
+                                  circle((6,) * 6, 11, 256)],
+            "general off the circle": [(general, make_context(
+                ComplexExtended(256), general.d_max, q=off_circle))],
+            # rows of P' != 0 on the circle, where s_6 vanishes and where
+            # no entry does
+            "q-Chu-Vandermonde": [
+                (series[0], root_of_unity_context(6, ComplexExtended(256),
+                                                  series[0].d_max)),
+                (series[1], root_of_unity_context(7, ComplexExtended(256),
+                                                  series[1].d_max))],
+        }
+
+    # the digests of a, r and root of each case: a change to any bit of
+    # them fails here
+    DIGESTS = {
+        "point-mp 256":
+        "a188dbebd156b509f0549fbc163f5af7e7a52c4c73ac2ff7af2c14b25cb724b4",
+        "point-mp 2048":
+        "3b505f138e6397179edafe1774921d1128e5a040e4105e116eb98c8c17c5ac3c",
+        "vanishing entries":
+        "f4cd044950b4051380c41cc5e2adb748150d1a6ca6dcadbc3af22f7a6f9621a1",
+        "general off the circle":
+        "cd34b9c339b996d6c2de0fdc5003f9dc197c402895c37fa2de9588ecc7fbc02b",
+        "q-Chu-Vandermonde":
+        "046d94fb1726a0b7348bf88e998b400b52fb9a0f1dd7969ae43d6d2f2aa1e4c2",
+    }
+
+    def test_evaluate_bits_pinned(self):
+        cases = self.extended_cases()
+        assert cases["vanishing entries"][0][1].vanishing_index == 9
+        assert cases["q-Chu-Vandermonde"][0][1].vanishing_index == 6
+        got = {}
+        for name, pairs in cases.items():
+            values = []
+            for dcr, ctx in pairs:
+                v = evaluate(dcr, ctx)
+                values += [v.a, v.r, v.root]
+            got[name] = mpf_digest(values)
+        assert got == self.DIGESTS
+
+    def test_complex_ring_made_once(self, monkeypatch):
+        # rows of P' != 0 on a fixed-point table are projected in one mpc
+        # ring, made on first use and kept with the context's ring
+        dcr = compile_series(chu_vandermonde(6, 5, 4)[0])
+        ctx = root_of_unity_context(23, ComplexExtended(128), dcr.d_max)
+        assert isinstance(ctx.ring, projection._FixedPoint)
+        made = []
+        init = projection._Values.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(projection._Values, "__init__", counted)
+        first = evaluate(dcr, ctx)
+        assert len(made) <= 1
+        made.clear()
+        for _ in range(3):
+            assert evaluate(dcr, ctx) == first
+            for m in (dcr.base, *dcr.ratios):
+                assert qfactor.fold(m)[1] and project_monomial(m, ctx) != 0
+        assert made == []
 
 
 class TestAmplitude:

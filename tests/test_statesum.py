@@ -2,6 +2,7 @@
 cache amortization, partition values."""
 
 import importlib.resources
+import json
 from dataclasses import replace
 
 import pytest
@@ -86,6 +87,41 @@ class TestTriangulation:
             Triangulation(1, ("a",), (), {"zz": 0})
         with pytest.raises(ValueError, match="nonnegative"):
             Triangulation(1, ("a",), (), {"a": -2})
+
+    # JSON true and false parse as Python bools, which subclass int; each
+    # field refuses them by name
+    ONE_TET = {"num_vertices": 4, "edges": [1, 2, 3, 4, 5, 6],
+               "tetrahedra": [[1, 2, 3, 4, 5, 6]], "boundary": {}}
+
+    @pytest.mark.parametrize("field,value,match", (
+        ("num_vertices", True, "num_vertices must be an integer"),
+        ("num_vertices", False, "num_vertices must be an integer"),
+        ("edges", [True, 2, 3, 4, 5, 6], "edges must be"),
+        ("tetrahedra", [[True, 2, 3, 4, 5, 6]], "tetrahedra must be")))
+    def test_json_refuses_booleans(self, field, value, match):
+        obj = dict(self.ONE_TET, **{field: value})
+        with pytest.raises(ValueError, match=match):
+            triangulation_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("color", (True, False))
+    def test_json_refuses_boolean_color(self, color):
+        obj = {"num_vertices": 4, "edges": list("abcdef"),
+               "tetrahedra": [list("abcdef")], "boundary": {"a": color}}
+        with pytest.raises(ValueError, match="boundary color for 'a'"):
+            triangulation_from_json(json.dumps(obj))
+
+    def test_refuses_booleans(self):
+        with pytest.raises(ValueError, match="num_vertices"):
+            Triangulation(True, ("a",), (), {})
+        with pytest.raises(ValueError, match="edge name True"):
+            Triangulation(1, (True, "b"), (), {})
+        # True == 1, so only its type tells it from the edge named 1
+        with pytest.raises(ValueError, match="edge name True"):
+            Triangulation(1, (1, 2, 3, 4, 5, 6), ((True, 2, 3, 4, 5, 6),), {})
+        with pytest.raises(ValueError, match="edge name False"):
+            Triangulation(1, (0, 1), (), {False: 2})
+        with pytest.raises(ValueError, match="boundary color for 'a'"):
+            Triangulation(1, ("a",), (), {"a": True})
 
     def test_interior_edges(self):
         tri = Triangulation(1, ("a", "b", "c"), (), {"b": 0})
