@@ -31,11 +31,10 @@ import numpy as np
 from . import diagnostics, statesum
 from .compiler import (AdmissibilityError, SixJLabels, compile_sixj,
                        dcr_to_json)
-from .projection import (ComplexDouble, ComplexExtended, PoleError,
-                         ProjectionRangeError, RootOfUnityExact,
+from .projection import (Classical, ComplexDouble, ComplexExtended,
+                         PoleError, ProjectionRangeError, RootOfUnityExact,
                          SweepEvaluator, amplitude_to_complex, evaluate,
-                         classical_project, make_context,
-                         root_of_unity_context)
+                         make_context, unit_circle_q)
 
 ENGINES = ("dcr-f64", "dcr-mp", "lse-f64", "lse-mp", "exact", "classical")
 _MP_ENGINES = ("dcr-mp", "lse-mp", "exact")
@@ -206,22 +205,22 @@ def _eval_amplitude(args):
     if args.engine == "lse-mp":
         return complex(diagnostics.lse_eval_sixj(labels, h, bits)), None, None
     dcr = compile_sixj(labels)
-    if args.engine == "classical":
-        out = classical_project(dcr)
-        amp = complex(out.a) * math.sqrt(float(out.r))
-        return amp, {"a": str(out.a), "r": str(out.r)}, dcr
+    if args.engine in ("dcr-f64", "dcr-mp"):
+        tag = ComplexDouble() if args.engine == "dcr-f64" \
+            else ComplexExtended(bits)
+        ctx = make_context(tag, dcr.d_max, q=unit_circle_q(h, tag))
+    else:
+        tag = RootOfUnityExact(h) if args.engine == "exact" else Classical()
+        ctx = make_context(tag, dcr.d_max)
+    out = evaluate(dcr, ctx)
+    amp = complex(amplitude_to_complex(out, ctx, bits=bits))
     if args.engine == "exact":
-        ctx = make_context(RootOfUnityExact(h), dcr.d_max)
-        out = evaluate(dcr, ctx)
-        amp = complex(amplitude_to_complex(out, ctx, bits=bits))
         parts = {"a_coeffs": [str(c) for c in out.a.coeffs],
                  "r_coeffs": [str(c) for c in out.r.coeffs]}
-        return amp, parts, dcr
-    tag = ComplexDouble() if args.engine == "dcr-f64" else ComplexExtended(bits)
-    ctx = root_of_unity_context(h, tag, dcr.d_max)
-    out = evaluate(dcr, ctx)
-    amp = complex(amplitude_to_complex(out, ctx))
-    parts = {"a": _cx(out.a), "r": _cx(out.r)}
+    elif args.engine == "classical":
+        parts = {"a": str(out.a), "r": str(out.r)}
+    else:
+        parts = {"a": _cx(out.a), "r": _cx(out.r)}
     return amp, parts, dcr
 
 
@@ -268,9 +267,13 @@ def _sweep_grid(args):
         ts = np.array([args.start])
     else:
         ts = np.linspace(args.start, args.stop, args.count)
-    if args.real_axis:
-        return ts.astype(complex)
-    return np.exp(1j * ts)
+    if not args.real_axis:
+        return np.exp(1j * ts)
+    if not ts.all():
+        # a real-axis grid is the only one that can hold q = 0
+        raise ConfigError("the q grid holds q = 0, where no amplitude is "
+                          "defined")
+    return ts.astype(complex)
 
 
 def cmd_sweep(args):

@@ -43,21 +43,20 @@ context one ring, and project_monomial, evaluate and amplitude_to_complex
 ask that ring and read no tag.  A ring has precision(), the mpmath
 precision to work at (mp.workprec(bits) for extended precision, else a
 null context); project(row), a row's image, the quotient of its sides;
-for_rows(rows), the ring those rows are formed in; and forward, set for
-double alone.
-Every ring but double's nests the sum, S = R_0 (l_0 + R_1 (l_1 + ...))
-over the rows R_i and live flags l_i, as one fraction, from a row's two
-sides (sigma and q^P' applied), a product, a sum and one quotient per
-output.  Its instances: integer pairs with 64 guard bits on a
-fixed-point table, so a, root and r are each rounded once and the
-rounding error of a does not grow with the condition number of the sum
-(up to about 2^50), and whose for_rows gives, for rows of P' != 0, one
-mpc ring of each row rounded once; Q(zeta_2h), where a and root share
-one inverse of their denominator and r has its own; the integers at
-q = 1, with one Fraction per output; and mpc values off the circle, each
-row rounded as it is formed.  The double ring multiplies the rows'
-images forward, and its project raises ProjectionRangeError past double
-range.
+and for_rows(rows), the ring those rows are formed in.
+Every ring nests the sum, S = R_0 (l_0 + R_1 (l_1 + ...)) over the rows
+R_i and live flags l_i, as one fraction, from a row's two sides (sigma
+and q^P' applied), a product, a sum and one quotient per output.  Its
+instances: integer pairs with 64 guard bits on a fixed-point table, so
+a, root and r are each rounded once and the rounding error of a does not
+grow with the condition number of the sum (up to about 2^50), and whose
+for_rows gives, for rows of P' != 0, one mpc ring of each row rounded
+once; Q(zeta_2h), where a and root share one inverse of their
+denominator and r has its own; the integers at q = 1, with one Fraction
+per output; and the values of mpc off the circle and of double, each
+row its image, rounded as it is formed, over one.  In double a row's
+image or q^P' past double range, and an output past it, raise
+ProjectionRangeError.
 """
 
 import cmath
@@ -289,18 +288,19 @@ def make_context(tag, d_max, q=None):
         if q == 0:
             raise ValueError("q must be nonzero")
         if isinstance(tag, ComplexDouble):
-            (q, s, h), W, one = _double_table(complex(q), d_max), None, 1.0
-            rounded = _Double
-        else:
-            u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
-                else mpf(2) ** -tag.bits
-            with mp.workprec(tag.bits):
-                q = mpc(q)
-            (q, s, h, W), one = _extended_table(q, d_max, u, tag.bits), mpf(1)
-            rounded = functools.partial(_Values, bits=tag.bits)
-        ring = _FixedPoint(s, W, tag.bits, q) if W is not None else rounded(
+            q, s, h = _double_table(complex(q), d_max)
+            ring = _Values(None, 1.0, _in_double(functools.partial(pow, q)),
+                           quotient=_finite_quotient, image=_in_double(
+                               functools.partial(_table_image, s=s, one=1.0)))
+            return ProjectionContext(tag, q, 1.0, d_max, h, ring)
+        u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
+            else mpf(2) ** -tag.bits
+        with mp.workprec(tag.bits):
+            q = mpc(q)
+        (q, s, h, W), one = _extended_table(q, d_max, u, tag.bits), mpf(1)
+        ring = _FixedPoint(s, W, tag.bits, q) if W is not None else _Values(
             None, one, functools.partial(pow, q),
-            image=functools.partial(_table_image, s=s, one=one))
+            image=functools.partial(_table_image, s=s, one=one), bits=tag.bits)
         return ProjectionContext(tag, q, one, d_max, h, ring)
     if isinstance(tag, RootOfUnityExact):
         fld, h = CycloField(tag.h), tag.h
@@ -359,11 +359,11 @@ class _Ring:
     """The one place an arithmetic is decided.  A context's ring gives
     precision, the mpmath precision it and every ring it gives work at
     (mp.workprec(bits) for an extended-precision ring, else a null
-    context); project, a row's image, the quotient of its sides;
+    context); project, a row's image, the quotient of its sides; and
     for_rows, the ring that given rows are formed in, itself unless a
-    subclass says otherwise; and forward, set where evaluate multiplies
-    the chain forward rather than nests it."""
-    bits, forward = None, False
+    subclass says otherwise.  Beside these, evaluate's nested chain
+    reads a ring's one, zero, sides, mul, add and quotients."""
+    bits = None
 
     def precision(self):
         return mp.workprec(self.bits) if self.bits else contextlib.nullcontext()
@@ -481,7 +481,8 @@ class _Values(_Ring):
     an output's one division.  quotients divides several numerators by
     one denominator: in Q(zeta_2h) each is a product by its one inverse,
     which is exact; elsewhere each is its own division, so a rounded
-    quotient is rounded once."""
+    quotient is rounded once.  In double the image, q^P' and quotient
+    hooks are range-checked (_in_double, _finite_quotient)."""
     mul, add = staticmethod(operator.mul), staticmethod(operator.add)
 
     def __init__(self, s, one, q_power, quotient=operator.truediv,
@@ -507,15 +508,12 @@ class _Values(_Ring):
         return [self.quotient(num, den) for num in nums]
 
 
-class _Double(_Values):
-    """The double ring, whose chain evaluate multiplies forward: a row's
-    image is its numerator side, every vanishing s_n at its limit, and a
-    value past double range raises ProjectionRangeError."""
-    forward = True
-
-    def project(self, row):
+def _in_double(fn):
+    """fn, whose value must be a nonzero finite double: one past double
+    range raises ProjectionRangeError."""
+    def checked(arg):
         try:
-            out = self.sides(row)[0]
+            out = fn(arg)
         except (OverflowError, ZeroDivisionError):
             # x ** int raises instead of returning inf, and an underflowed
             # denominator divides by zero
@@ -524,6 +522,18 @@ class _Double(_Values):
             raise ProjectionRangeError("projection left double precision "
                                        "range; use an extended-precision tag")
         return out
+    return checked
+
+
+def _finite_quotient(num, den):
+    """num / den in double, ProjectionRangeError where it is not finite.
+    A quotient by one is num itself: complex division by one can flip
+    the sign of a zero part."""
+    out = num if den == 1 else num / den
+    if not cmath.isfinite(out):
+        raise ProjectionRangeError("evaluation overflowed double precision"
+                                   "; use an extended-precision tag")
+    return out
 
 
 def _factors(groups, s):
@@ -558,9 +568,9 @@ def evaluate(dcr, ctx):
     root and rad are decided by their own orders.  The vanishing s_n of
     the live terms' rows take their limits.
 
-    Every arithmetic but double nests the sum, in the ring the context's
-    ring gives for the rows (for_rows) and at its precision, as one
-    fraction A / B, S = R_0 A / B: from the last term walked inward,
+    Every arithmetic nests the sum, in the ring the context's ring gives
+    for the rows (for_rows) and at its precision, as one fraction A / B,
+    S = R_0 A / B: from the last term walked inward,
     each ratio's sides N_i / D_i take B <- D_i B and A <- N_i A, plus B
     where l_{i-1} is set.  a = root R_0 A / B and root share one
     denominator, and a, root and r are one quotient each; in Q(zeta_2h)
@@ -570,8 +580,10 @@ def evaluate(dcr, ctx):
     value its own table entries give, kappa = sum_z |T_z| / |sum_z T_z|
     and W the weight of the cuts (_row_sides' T of every row walked,
     three per ratio and four for a): the error left is the table's.
-    The double ring (forward) multiplies the rows' images (project)
-    forward term by term and adds the live ones."""
+    Where each row is its image over one (mpc and double), B is one and
+    A is a Horner sum, each product and sum rounded: a is within about
+    2m u sum_z |T_z| of the sum of its rows' images, m the terms walked,
+    to first order."""
     if ctx.d_max < dcr.d_max:
         raise ValueError("context covers d <= %d but DCR needs %d"
                          % (ctx.d_max, dcr.d_max))
@@ -606,19 +618,6 @@ def _walk(rows, h):
 def _evaluate_loop(dcr, ctx, ring):
     rows, h = dcr.rows, ctx.vanishing_index
     live = _walk(rows[:-2], h)
-    if ring.forward:
-        term = ring.project(rows[0])
-        total = term if live[0] else ring.zero
-        for i in range(1, len(live)):
-            term = term * ring.project(rows[i])
-            if live[i]:
-                total = total + term
-        root = _project(rows[-2], ctx)
-        a, r = root * total, _project(rows[-1], ctx)
-        if not (cmath.isfinite(a) and cmath.isfinite(r)):
-            raise ProjectionRangeError("evaluation overflowed double precision"
-                                       "; use an extended-precision tag")
-        return AmplitudeValue(a=a, r=r, root=root)
     sides, mul, add = ring.sides, ring.mul, ring.add
     A, B = (ring.one if live[-1] else ring.zero), ring.one
     for i in range(len(live) - 1, 0, -1):

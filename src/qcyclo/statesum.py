@@ -103,6 +103,11 @@ def _edge_name(name):
 
 
 def triangulation_from_json(text):
+    """A Triangulation from a JSON object of num_vertices, edges (names,
+    strings or integers), tetrahedra (six edge names each) and boundary,
+    an object from edge name to twice-spin.  A boundary key is a string
+    and names the edge whose JSON text it is, "1" the edge 1, so no two
+    edges may share one (1 and "1")."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -126,11 +131,17 @@ def triangulation_from_json(text):
         if not ok:
             raise ValueError("malformed triangulation object: %s must be %s"
                              % (key, what))
+    by_text = {}
+    for name in obj["edges"]:
+        other = by_text.setdefault(str(name), name)
+        if type(other) is not type(name):
+            raise ValueError("malformed triangulation object: edges %r and %r "
+                             "have the same JSON text" % (other, name))
     return Triangulation(
         num_vertices=obj["num_vertices"],
         edges=tuple(obj["edges"]),
         tetrahedra=tuple(tuple(t) for t in obj["tetrahedra"]),
-        boundary=dict(obj["boundary"]),
+        boundary={by_text.get(k, k): v for k, v in obj["boundary"].items()},
     )
 
 

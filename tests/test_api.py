@@ -1,5 +1,9 @@
-"""The package's public names: those its documented features use."""
+"""The package's public names: those its documented features use, and
+what importing the command line loads."""
 
+import os
+import subprocess
+import sys
 import types
 
 import qcyclo
@@ -38,3 +42,17 @@ def test_helpers_stay_in_their_submodules():
                  "fold", "unfold"):
         assert not hasattr(qcyclo, name), name
 
+
+
+def test_cli_import_stays_lean():
+    # a fresh interpreter, as a benchmark worker or the console script
+    # starts; qcyclo.cli imports the whole package
+    src = os.path.dirname(os.path.dirname(qcyclo.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, qcyclo.cli; print(*sorted({m.partition('.')[0] "
+            "for m in sys.modules} & {'sympy', 'hypothesis', 'pytest', "
+            "'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.split() == []

@@ -289,6 +289,15 @@ class TestSweep:
         assert [p["status"] for p in pts] == ["ok"] * 3
         assert float(pts[0]["q_im"]) == 0.0
 
+    @pytest.mark.parametrize("engine", ("dcr-f64", "dcr-mp"))
+    def test_grid_holding_zero_exit_2(self, capsys, engine):
+        # no amplitude is defined at q = 0: the grid is invalid input
+        code, out, err = run(capsys, "sweep", "--spins", "2,2,2,2,2,2",
+                             "--start", "0", "--stop", "1", "--count", "2",
+                             "--real-axis", "--engine", engine)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error:") and "q = 0" in err
+
 
 class TestDiag:
     def test_json_fields(self, capsys):

@@ -92,15 +92,15 @@ GOLDEN = {
     'eval-classical-text':
         'e3a3d985f7552ffdaaf8387176b7d8272f98efeae3b36d11682a5c542a8e6e5c',
     'eval-dcr-f64-csv':
-        '986799964fae511c0c074c24ed87543aff2a7f7c568c1071d061ba69f5cf5bb0',
+        '0543b16727291ae342e62afbdb8c207f92fd84a08ab5060014ea3ea69105b123',
     'eval-dcr-f64-json':
-        '6fb1af9fa73e36d0e69d152d9b0be0083d515bc58d6bc667f7bf4f073ac0bdde',
+        '14cc3e9633a6c0c532fbce5c6e2bc2d00afa4ab30009f1b139e127734a4cb0c1',
     'eval-dcr-f64-parts-csv':
-        '986799964fae511c0c074c24ed87543aff2a7f7c568c1071d061ba69f5cf5bb0',
+        '0543b16727291ae342e62afbdb8c207f92fd84a08ab5060014ea3ea69105b123',
     'eval-dcr-f64-parts-json':
-        'c0c1c6fc7f86d52ba7b236099071a436a581404823dd39568bd8c0d1394a7aa7',
+        '1e345bb553537ca6ef3dabccff468ad359914a3d11fe1b052be9a829782c41f1',
     'eval-dcr-f64-parts-text':
-        'f72ecb27531d4f739d997253f9ae6103f0d99b3b371aafe8ba233d06ec372332',
+        '902239195701b9036dd62f53a7643b40d9198aedbd3921570f98765e00c21544',
     'eval-dcr-f64-text':
         'd4750482b9b2a5c3ae2b85c35f35218aeb1d7fb0a337243fb0263232402daf20',
     'eval-dcr-mp-csv':

@@ -20,7 +20,7 @@ from qcyclo.cli import T3_ROWS
 from qcyclo.compiler import (DCR, SixJLabels, compile_series, compile_sixj,
                              dcr_from_json, dcr_to_json, triangle_admissible)
 from qcyclo.cyclofield import CycloNumber
-from qcyclo.diagnostics import lse_eval_sixj
+from qcyclo.diagnostics import diagnostics_sixj, lse_eval_sixj
 from qcyclo.monomial import CycloMonomial, div, mul
 from qcyclo.projection import (Classical, ComplexDouble, ComplexExtended,
                                PoleError, ProjectionRangeError,
@@ -650,6 +650,24 @@ def project_monomial_chain(dcr, ctx):
         return root * total, [root * t for t in terms]
 
 
+def project_monomial_nest(dcr, ctx):
+    """a over the walk of project_monomial_chain, nested as evaluate
+    nests a chain whose rows are each their image over one: A = 1, then
+    A <- R_i A + 1 from the last ratio walked inward, and a = (root base)
+    A, every image by project_monomial.  In double evaluate's quotient
+    divides by one exactly, so the two agree bit for bit."""
+    h, one = ctx.vanishing_index, ctx.one
+    walked = []
+    for rz in dcr.ratios:
+        if h is not None and rz.exps.get(h) > 0:
+            break
+        walked.append(project_monomial(rz, ctx))
+    A = one
+    for rz in reversed(walked):
+        A = rz * A + one
+    return project_monomial(dcr.root, ctx) * project_monomial(dcr.base, ctx) * A
+
+
 class TestEvaluate:
     CASES = ((ALL_ONES, 5), (ALL_ONES, 7), (SixJLabels(4, 4, 4, 4, 4, 4), 9),
              (SixJLabels(4, 4, 4, 4, 4, 4), 11), (BRANCH_LABELS, 8),
@@ -663,12 +681,14 @@ class TestEvaluate:
     @pytest.mark.parametrize("labels,h", CASES + SERIES)
     def test_built_rows_project_as_project_monomial(self, labels, h):
         # the rows a DCR is built with give bit for bit what folding each
-        # monomial afresh gives in double, the exact field and the
-        # classical limit, whether the sum is nested or multiplied forward
+        # monomial afresh gives in double, nested in evaluate's order, and
+        # in the exact field and the classical limit, where the sum nested
+        # or multiplied forward is the same
         dcr = compile_sixj(labels) if isinstance(labels, SixJLabels) \
             else compile_series(labels)
-        for ctx in (root_of_unity_context(h, ComplexDouble(), dcr.d_max),
-                    make_context(RootOfUnityExact(h), dcr.d_max),
+        ctx = root_of_unity_context(h, ComplexDouble(), dcr.d_max)
+        assert evaluate(dcr, ctx).a == project_monomial_nest(dcr, ctx)
+        for ctx in (make_context(RootOfUnityExact(h), dcr.d_max),
                     make_context(Classical(), dcr.d_max)):
             assert evaluate(dcr, ctx).a == project_monomial_chain(dcr, ctx)[0]
         # extended precision, u = 2^-bits and S = sum_z |root T_z| over the
@@ -800,6 +820,63 @@ class TestEvaluate:
         dcr = hand_built(m, (m, m), CycloMonomial(), CycloMonomial(), d_max=2)
         with pytest.raises(ProjectionRangeError, match="extended-precision"):
             evaluate(dcr, ctx)
+
+    def test_double_underflow_advice(self):
+        # a row image that underflows to zero is out of range, not a
+        # zero: Phi_3(q^2) is about 1e-3 this near e^{i pi/3}
+        ctx = make_context(ComplexDouble(), 6,
+                           q=1.0001 * cmath.exp(1j * math.pi / 3))
+        with pytest.raises(ProjectionRangeError, match="left double"):
+            project_monomial(CycloMonomial(1, 0, {3: 200}), ctx)
+        # at j = 150, k = 4j the root row's numerator underflows
+        dcr = compile_sixj(SixJLabels(*(300,) * 6))
+        ctx = root_of_unity_context(602, ComplexDouble(), dcr.d_max)
+        with pytest.raises(ProjectionRangeError, match="left double"):
+            evaluate(dcr, ctx)
+
+    @pytest.mark.parametrize("j", (30, 50, 70))
+    def test_double_error_within_kappa_bound(self, j):
+        # A first-order bound on the double a of T3's row j (k = 500,
+        # q = e^{i pi/502}, u = 2^-53) against 512 bits, in units of
+        # kappa u, kappa = sum_z |T_z| / |S| from diagnostics_sixj.
+        # - Each s_n = sin(n theta) is formed from the phase theta of the
+        #   rounded q (within 5u of pi/502), times n (u), by np.sin
+        #   (within 4 ulp, 8u).  Here n theta < 0.6 pi, where
+        #   |x cot x| <= 1, so s_n is within 14u, relative.
+        # - A row of E entries, each counted |f| times, has its image
+        #   within E (14u + 4u) = 18 E u: its entries, and at most 2E
+        #   products, powers and one division, each within 1 ulp.
+        # - Nesting adds a product and a sum per level, u each, and a is
+        #   (root base) A, two products more.
+        # T_z = root base R_1..R_z is thus formed with a relative error
+        # d_z, and for any y, a is off the exact S = sum_z T_z by at most
+        # |d_y| |S| + sum_z |T_z| |d_z - d_y|.  d_z - d_y sums the ratios and levels between y and z, under
+        # (18 E_r + 2) u |z - y|, E_r the largest ratio's count, and
+        # |d_y| < (18 E_all + 2m + 2) u, E_all the count of all m + 1
+        # rows walked.  In units of kappa u the bound is
+        #   (18 E_all + 2m + 2) / kappa + (18 E_r + 2) W,
+        #   W = min_y sum_z |T_z| |z - y| / sum_z |T_z|,
+        # about 170, 220 and 260 for these rows (W = 1.1, 1.5, 1.8).
+        # Measured: 0.76, 0.86 and 0.86 kappa u.
+        labels = SixJLabels(*(2 * j,) * 6)
+        dcr = compile_sixj(labels)
+        ctx = root_of_unity_context(502, ComplexDouble(), dcr.d_max)
+        got = evaluate(dcr, ctx).a
+        kappa = diagnostics_sixj(labels, 502).kappa
+        with mp.workprec(512):
+            want = evaluate(dcr, root_of_unity_context(
+                502, ComplexExtended(512), dcr.d_max)).a
+            err = float(abs(got - want) / abs(want))
+        # |T_z| up to a common factor, from the ratios' images
+        logs = np.cumsum([0.0] + [math.log(abs(project_monomial(rz, ctx)))
+                                  for rz in dcr.ratios])
+        weights, z = np.exp(logs - logs.max()), np.arange(len(logs))
+        W = min(weights @ abs(z - y) for y in z) / weights.sum()
+        counts = [sum(abs(f) * len(g) for f, g in row[2])
+                  for row in dcr.rows[:-1]]
+        bound = (18 * sum(counts) + 2 * len(logs) + 2) / kappa \
+            + (18 * max(counts[1:-1]) + 2) * W
+        assert err <= bound * kappa * 2.0 ** -53
 
     def test_large_symbol_fits_in_double(self):
         # exponent bookkeeping keeps hundred-term symbols inside double

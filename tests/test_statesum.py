@@ -110,6 +110,19 @@ class TestTriangulation:
         with pytest.raises(ValueError, match="boundary color for 'a'"):
             triangulation_from_json(json.dumps(obj))
 
+    def test_json_integer_edge_takes_a_color(self):
+        # a JSON object's keys are strings: "1" names the edge 1
+        obj = dict(self.ONE_TET, boundary={"1": 2, "6": 0})
+        tri = triangulation_from_json(json.dumps(obj))
+        assert tri.boundary == {1: 2, 6: 0}
+        assert tri.interior_edges == (2, 3, 4, 5)
+
+    def test_json_refuses_edges_of_one_text(self):
+        # 1 and "1" would both be named by the boundary key "1"
+        obj = dict(self.ONE_TET, edges=[1, 2, 3, 4, 5, 6, "1"])
+        with pytest.raises(ValueError, match="edges 1 and '1' have the same"):
+            triangulation_from_json(json.dumps(obj))
+
     def test_refuses_booleans(self):
         with pytest.raises(ValueError, match="num_vertices"):
             Triangulation(True, ("a",), (), {})
