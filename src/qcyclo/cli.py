@@ -34,7 +34,7 @@ from .compiler import (AdmissibilityError, SixJLabels, compile_sixj,
 from .projection import (Classical, ComplexDouble, ComplexExtended,
                          PoleError, ProjectionRangeError, RootOfUnityExact,
                          SweepEvaluator, amplitude_to_complex, evaluate,
-                         make_context, unit_circle_q)
+                         make_context, root_of_unity_context)
 
 ENGINES = ("dcr-f64", "dcr-mp", "lse-f64", "lse-mp", "exact", "classical")
 _MP_ENGINES = ("dcr-mp", "lse-mp", "exact")
@@ -208,7 +208,7 @@ def _eval_amplitude(args):
     if args.engine in ("dcr-f64", "dcr-mp"):
         tag = ComplexDouble() if args.engine == "dcr-f64" \
             else ComplexExtended(bits)
-        ctx = make_context(tag, dcr.d_max, q=unit_circle_q(h, tag))
+        ctx = root_of_unity_context(h, tag, dcr.d_max)
     else:
         tag = RootOfUnityExact(h) if args.engine == "exact" else Classical()
         ctx = make_context(tag, dcr.d_max)

@@ -43,7 +43,9 @@ context one ring, and project_monomial, evaluate and amplitude_to_complex
 ask that ring and read no tag.  A ring has precision(), the mpmath
 precision to work at (mp.workprec(bits) for extended precision, else a
 null context); project(row), a row's image, the quotient of its sides;
-and for_rows(rows), the ring those rows are formed in.
+for_rows(rows), the ring those rows are formed in; and
+bound_terms(nums), which bounds the terms of a chain, the running
+products of its rows' numerators, where the arithmetic has a range.
 Every ring nests the sum, S = R_0 (l_0 + R_1 (l_1 + ...)) over the rows
 R_i and live flags l_i, as one fraction, from a row's two sides (sigma
 and q^P' applied), a product, a sum and one quotient per output.  Its
@@ -55,8 +57,9 @@ once; Q(zeta_2h), where a and root share one inverse of their
 denominator and r has its own; the integers at q = 1, with one Fraction
 per output; and the values of mpc off the circle and of double, each
 row its image, rounded as it is formed, over one.  In double a row's
-image or q^P' past double range, and an output past it, raise
-ProjectionRangeError.
+numerator (image times q^P'), a term of the sum (root left off) and an
+output past double range raise ProjectionRangeError, as they did when
+double multiplied its terms out one by one.
 """
 
 import cmath
@@ -76,6 +79,8 @@ from .qfactor import fold
 
 # unit roundoff of a q given as a Python or numpy double
 _U_DOUBLE = 2.0 ** -53
+_OVERFLOWED = ("evaluation overflowed double precision; use an "
+               "extended-precision tag")
 
 
 class PoleError(ArithmeticError):
@@ -289,9 +294,8 @@ def make_context(tag, d_max, q=None):
             raise ValueError("q must be nonzero")
         if isinstance(tag, ComplexDouble):
             q, s, h = _double_table(complex(q), d_max)
-            ring = _Values(None, 1.0, _in_double(functools.partial(pow, q)),
-                           quotient=_finite_quotient, image=_in_double(
-                               functools.partial(_table_image, s=s, one=1.0)))
+            ring = _Float64(None, 1.0, functools.partial(pow, q), _finite,
+                            functools.partial(_table_image, s=s, one=1.0))
             return ProjectionContext(tag, q, 1.0, d_max, h, ring)
         u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
             else mpf(2) ** -tag.bits
@@ -359,10 +363,11 @@ class _Ring:
     """The one place an arithmetic is decided.  A context's ring gives
     precision, the mpmath precision it and every ring it gives work at
     (mp.workprec(bits) for an extended-precision ring, else a null
-    context); project, a row's image, the quotient of its sides; and
+    context); project, a row's image, the quotient of its sides;
     for_rows, the ring that given rows are formed in, itself unless a
-    subclass says otherwise.  Beside these, evaluate's nested chain
-    reads a ring's one, zero, sides, mul, add and quotients."""
+    subclass says otherwise; and bound_terms.  Beside these, evaluate's
+    nested chain reads a ring's one, zero, sides, mul, add and
+    quotients."""
     bits = None
 
     def precision(self):
@@ -373,6 +378,11 @@ class _Ring:
 
     def for_rows(self, rows):
         return self
+
+    def bound_terms(self, nums):
+        """Given the numerators of a chain's rows, in order: raise
+        where a running product leaves the ring's range.  Only double's
+        range is bounded (_Float64)."""
 
 
 class _FixedPoint(_Ring):
@@ -481,8 +491,8 @@ class _Values(_Ring):
     an output's one division.  quotients divides several numerators by
     one denominator: in Q(zeta_2h) each is a product by its one inverse,
     which is exact; elsewhere each is its own division, so a rounded
-    quotient is rounded once.  In double the image, q^P' and quotient
-    hooks are range-checked (_in_double, _finite_quotient)."""
+    quotient is rounded once.  _Float64, the double ring, checks each
+    numerator, output and term against double range."""
     mul, add = staticmethod(operator.mul), staticmethod(operator.add)
 
     def __init__(self, s, one, q_power, quotient=operator.truediv,
@@ -508,32 +518,39 @@ class _Values(_Ring):
         return [self.quotient(num, den) for num in nums]
 
 
-def _in_double(fn):
-    """fn, whose value must be a nonzero finite double: one past double
-    range raises ProjectionRangeError."""
-    def checked(arg):
+class _Float64(_Values):
+    """The double ring: each row is its image over one, so every
+    denominator is one and a quotient is its numerator.  A row's
+    numerator (image, sigma and q^P'), an output, and every running
+    product of a chain's numerators, a term of the sum (root left off),
+    must be nonzero finite doubles; one past double range raises
+    ProjectionRangeError.  Where a term passes range the nested sum may
+    still be finite, but near k = 4j such sums cancel terms past 2^1024
+    and are wrong by orders of magnitude, so a term past range is
+    refused, as it was when double multiplied its terms out."""
+
+    def bound_terms(self, nums):
+        if np.log2(np.abs(nums)).cumsum().max() >= 1024:
+            raise ProjectionRangeError(_OVERFLOWED)
+
+    def sides(self, row):
         try:
-            out = fn(arg)
+            num = super().sides(row)[0]
         except (OverflowError, ZeroDivisionError):
             # x ** int raises instead of returning inf, and an underflowed
             # denominator divides by zero
-            out = math.inf
-        if not 0 < abs(out) < math.inf:
+            num = math.inf
+        if not 0 < abs(num) < math.inf:
             raise ProjectionRangeError("projection left double precision "
                                        "range; use an extended-precision tag")
-        return out
-    return checked
+        return num, 1.0
 
 
-def _finite_quotient(num, den):
-    """num / den in double, ProjectionRangeError where it is not finite.
-    A quotient by one is num itself: complex division by one can flip
-    the sign of a zero part."""
-    out = num if den == 1 else num / den
-    if not cmath.isfinite(out):
-        raise ProjectionRangeError("evaluation overflowed double precision"
-                                   "; use an extended-precision tag")
-    return out
+def _finite(num, den):
+    """num, a double quotient over one, where it is finite."""
+    if not cmath.isfinite(num):
+        raise ProjectionRangeError(_OVERFLOWED)
+    return num
 
 
 def _factors(groups, s):
@@ -583,7 +600,10 @@ def evaluate(dcr, ctx):
     Where each row is its image over one (mpc and double), B is one and
     A is a Horner sum, each product and sum rounded: a is within about
     2m u sum_z |T_z| of the sum of its rows' images, m the terms walked,
-    to first order."""
+    to first order.  Every row is formed first, base, ratios, root and
+    rad in that order, and then bound_terms is given the
+    walked rows' numerators, so a row past double range is reported
+    before a term past it."""
     if ctx.d_max < dcr.d_max:
         raise ValueError("context covers d <= %d but DCR needs %d"
                          % (ctx.d_max, dcr.d_max))
@@ -619,21 +639,24 @@ def _evaluate_loop(dcr, ctx, ring):
     rows, h = dcr.rows, ctx.vanishing_index
     live = _walk(rows[:-2], h)
     sides, mul, add = ring.sides, ring.mul, ring.add
+    walked = [sides(row) for row in rows[:len(live)]]
     A, B = (ring.one if live[-1] else ring.zero), ring.one
     for i in range(len(live) - 1, 0, -1):
-        N, D = sides(rows[i])
+        N, D = walked[i]
         B, A = mul(D, B), mul(N, A)
         if live[i - 1]:
             A = add(A, B)
-    if _vanishes(rows[-2], h):
-        root = a = ctx.one * 0
-    else:
-        # one denominator: Q(zeta_2h) inverts it once, far faster than
-        # root's own
-        (rn, rd), (bn, bd) = sides(rows[-2]), sides(rows[0])
-        root, a = ring.quotients((mul(mul(rn, bd), B), mul(mul(rn, bn), A)),
-                                 mul(mul(rd, bd), B))
-    return AmplitudeValue(a=a, r=_project(rows[-1], ctx), root=root)
+    root = None if _vanishes(rows[-2], h) else sides(rows[-2])
+    r = _project(rows[-1], ctx)
+    ring.bound_terms([N for N, _ in walked])
+    if root is None:
+        return AmplitudeValue(a=ctx.one * 0, r=r, root=ctx.one * 0)
+    # one denominator: Q(zeta_2h) inverts it once, far faster than root's
+    # own
+    (rn, rd), (bn, bd) = root, walked[0]
+    root, a = ring.quotients((mul(mul(rn, bd), B), mul(mul(rn, bn), A)),
+                             mul(mul(rd, bd), B))
+    return AmplitudeValue(a=a, r=r, root=root)
 
 
 def _branch_sqrt(r, root, sqrt_fn):

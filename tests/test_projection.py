@@ -833,6 +833,22 @@ class TestEvaluate:
         ctx = root_of_unity_context(602, ComplexDouble(), dcr.d_max)
         with pytest.raises(ProjectionRangeError, match="left double"):
             evaluate(dcr, ctx)
+        # off the circle a row's image (1e-117) and its q^P' (1e-301) are
+        # each in range, but their product, the row's numerator, is not
+        ctx = make_context(ComplexDouble(), 20, q=0.5)
+        m = qfactor.unfold((1, 1000, ((20, (1,)), (-20, (20,)))))
+        with pytest.raises(ProjectionRangeError, match="left double"):
+            project_monomial(m, ctx)
+
+    def test_double_term_past_range(self):
+        # at j = 145, k = 580 every row is in double range, and so is the
+        # nested sum, but the terms, root left off, pass 1e309 while
+        # root times their sum is under 4e-4: the double sum is refused,
+        # as the forward chain refused it, not returned wrong
+        dcr = compile_sixj(SixJLabels(*(290,) * 6))
+        ctx = root_of_unity_context(582, ComplexDouble(), dcr.d_max)
+        with pytest.raises(ProjectionRangeError, match="overflowed double"):
+            evaluate(dcr, ctx)
 
     @pytest.mark.parametrize("j", (30, 50, 70))
     def test_double_error_within_kappa_bound(self, j):
@@ -850,14 +866,17 @@ class TestEvaluate:
         #   (root base) A, two products more.
         # T_z = root base R_1..R_z is thus formed with a relative error
         # d_z, and for any y, a is off the exact S = sum_z T_z by at most
-        # |d_y| |S| + sum_z |T_z| |d_z - d_y|.  d_z - d_y sums the ratios and levels between y and z, under
-        # (18 E_r + 2) u |z - y|, E_r the largest ratio's count, and
-        # |d_y| < (18 E_all + 2m + 2) u, E_all the count of all m + 1
-        # rows walked.  In units of kappa u the bound is
+        # |d_y| |S| + sum_z |T_z| |d_z - d_y|.  d_z - d_y sums the
+        # ratios and levels between y and z, under (18 E_r + 2) u |z - y|,
+        # E_r the largest ratio's count, and |d_y| < (18 E_all + 2m + 2) u,
+        # E_all the count of all m + 1 rows walked.  In units of kappa u
+        # the bound is
         #   (18 E_all + 2m + 2) / kappa + (18 E_r + 2) W,
         #   W = min_y sum_z |T_z| |z - y| / sum_z |T_z|,
         # about 170, 220 and 260 for these rows (W = 1.1, 1.5, 1.8).
-        # Measured: 0.76, 0.86 and 0.86 kappa u.
+        # Measured: 0.76, 0.86 and 0.86 kappa u (0.88, 0.90 and 0.78 with
+        # the sum multiplied forward), so beside the derived bound a
+        # ceiling of 4 kappa u guards what is measured.
         labels = SixJLabels(*(2 * j,) * 6)
         dcr = compile_sixj(labels)
         ctx = root_of_unity_context(502, ComplexDouble(), dcr.d_max)
@@ -877,6 +896,7 @@ class TestEvaluate:
         bound = (18 * sum(counts) + 2 * len(logs) + 2) / kappa \
             + (18 * max(counts[1:-1]) + 2) * W
         assert err <= bound * kappa * 2.0 ** -53
+        assert err <= 4 * kappa * 2.0 ** -53
 
     def test_large_symbol_fits_in_double(self):
         # exponent bookkeeping keeps hundred-term symbols inside double
