@@ -67,6 +67,17 @@ def _parse_spins(text):
     return tj
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number, got %r" % text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r"
+                                         % text)
+    return value
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="qcyclo",
@@ -99,8 +110,8 @@ def _build_parser():
     add_common(p, level=False)
     p.add_argument("--engine", choices=("dcr-f64", "dcr-mp"), default="dcr-f64")
     p.add_argument("--bits", type=int)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
+    p.add_argument("--start", type=_finite_float, required=True)
+    p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--real-axis", action="store_true",
                    help="grid is real q from start to stop (default: "

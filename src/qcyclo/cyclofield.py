@@ -101,6 +101,10 @@ class CycloField:
 
 
 class CycloNumber:
+    """An element of Q(zeta_2h).  Elements of two CycloField objects of one
+    h are of one field: they compare equal where their coefficients are,
+    and mix in arithmetic.  Arithmetic between fields of different h
+    raises ValueError."""
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
@@ -111,19 +115,27 @@ class CycloNumber:
         return not any(self.coeffs)
 
     def __eq__(self, other):
-        return (isinstance(other, CycloNumber) and self.field is other.field
+        return (isinstance(other, CycloNumber)
+                and self.field.h == other.field.h
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash(self.coeffs)
 
+    def _coeffs_of(self, other):
+        """other's coefficients, where it is of this field."""
+        if other.field is not self.field and other.field.h != self.field.h:
+            raise ValueError("elements of Q(zeta_%d) and Q(zeta_%d) do not mix"
+                             % (self.field.n, other.field.n))
+        return other.coeffs
+
     def __add__(self, other):
-        return CycloNumber(self.field,
-                           tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloNumber(self.field, tuple(
+            a + b for a, b in zip(self.coeffs, self._coeffs_of(other))))
 
     def __sub__(self, other):
-        return CycloNumber(self.field,
-                           tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloNumber(self.field, tuple(
+            a - b for a, b in zip(self.coeffs, self._coeffs_of(other))))
 
     def __neg__(self):
         return CycloNumber(self.field, tuple(-a for a in self.coeffs))
@@ -132,11 +144,11 @@ class CycloNumber:
         if isinstance(other, (int, Fraction)):
             o = Fraction(other)
             return CycloNumber(self.field, tuple(a * o for a in self.coeffs))
-        deg = self.field.degree
+        deg, other = self.field.degree, self._coeffs_of(other)
         conv = [Fraction(0)] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other):
                     if b:
                         conv[i + j] += a * b
         return CycloNumber(self.field, self.field._reduce(conv))

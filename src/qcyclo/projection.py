@@ -19,13 +19,15 @@ is such a root.
 
 In double one rule (_circle_tables) builds the unit-circle table
 sin(n theta), limits included, for evaluate and the sweep alike.  In
-extended precision the unit-circle table is fixed point: the
-integers S_n ~ sin(n theta) 2^W, W the bits plus guard bits, of the
-Chebyshev recurrence S_{n+1} = 2 cos(theta) S_n - S_{n-1} from the unit
-x = q/|q|, or x = e^{i pi a/h} at a root of unity, where a vanishing
-entry is its limit (-1)^{an/h} n 2^W exactly.  No entry is rounded,
-every entry is within 2^-bits of its sine, relative, and the lattice
-test on such a table compares integers, exactly.
+extended precision every table is fixed point, S_n ~ s_n 2^W with W the
+bits plus guard bits, from one recurrence S_{n+1} = c S_n - S_{n-1}
+(_recurrence).  On the unit circle the S_n are integers ~ sin(n theta)
+2^W, c = 2 cos(theta), from the unit x = q/|q|, or x = e^{i pi a/h} at a
+root of unity, where a vanishing entry is its limit (-1)^{an/h} n 2^W
+exactly; off it they are Gaussian integers ~ (q^n - q^-n) 2^W, c = q +
+1/q.  No entry is rounded, every entry is within 2^-bits of its s_n,
+relative, and the lattice test on a unit-circle table compares integers,
+exactly.
 
 A row's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f.  A DCR carries
@@ -40,30 +42,29 @@ unit circle a, r and root are real.
 
 make_context is the one place an arithmetic is decided: it gives each
 context one ring, and project_monomial, evaluate and amplitude_to_complex
-ask that ring and read no tag.  A ring has precision(), the mpmath
-precision to work at (mp.workprec(bits) for extended precision, else a
-null context); project(row), a row's image, the quotient of its sides;
-for_rows(rows), the ring those rows are formed in; and
-bound_terms(nums), which bounds the terms of a chain, the running
-products of its rows' numerators, where the arithmetic has a range.
-Every ring nests the sum, S = R_0 (l_0 + R_1 (l_1 + ...)) over the rows
-R_i and live flags l_i, as one fraction, from a row's two sides (sigma
-and q^P' applied), a product, a sum and one quotient per output.  Its
-instances: integer pairs with 64 guard bits on a fixed-point table, so
-a, root and r are each rounded once and the rounding error of a does not
-grow with the condition number of the sum (up to about 2^50), and whose
-for_rows gives, for rows of P' != 0, one mpc ring of each row rounded
-once; Q(zeta_2h), where a and root share one inverse of their
-denominator and r has its own; the integers at q = 1, with one Fraction
-per output; and the values of mpc off the circle and of double, each
-row its image, rounded as it is formed, over one.  In double a row's
-numerator (image times q^P'), a term of the sum (root left off) and an
-output past double range raise ProjectionRangeError, as they did when
-double multiplied its terms out one by one.
+ask that ring and read no tag.  A ring has bits, the precision of its
+outputs in extended precision and else None; sides(row), a row's
+numerator and denominator, sigma and q^P' applied; mul, add, quotient
+and quotients; and bound_terms(nums), which bounds the terms of a chain,
+the running products of its rows' numerators, where the arithmetic has
+a range.  Every ring nests the sum, S = R_0 (l_0 + R_1 (l_1 + ...)) over
+the rows R_i and live flags l_i, as one fraction, from a row's two
+sides, a product, a sum and one quotient per output.  Its instances:
+for every extended-precision q, on the unit circle or off it and
+whatever a row's P', one fixed-point ring of integer (or Gaussian
+integer) pairs with 64 guard bits, so a, root and r are each rounded
+once and the rounding error of a does not grow with the condition
+number of the sum (up to about 2^50): a is within a few units of 2^-bits
+sum_z |root T_z| of its exact value, the error of its table entries;
+Q(zeta_2h), where a and root share one inverse of their denominator and
+r has its own; the integers at q = 1, with one Fraction per output; and
+double, each row its image, rounded as it is formed, over one.  In
+double a row's numerator (image times q^P'), a term of the sum (root
+left off) and an output past double range raise ProjectionRangeError, as
+they did when double multiplied its terms out one by one.
 """
 
 import cmath
-import contextlib
 import functools
 import math
 import operator
@@ -194,33 +195,90 @@ def _take_limits(s, a, h, one):
     return s
 
 
-def _guarded_sines(x, d_max, scale):
-    """[None, S_1, ..., S_{d_max}], S_n the integer nearest sin(n theta)
-    2^scale to within a few units, for the unit x = e^{i theta} given at
-    scale bits.
+def _recurrence(c, s1, d_max, scale, s0):
+    """[s0, S_1, ..., S_{d_max}], S_n ~ s_n 2^scale, from S_0 = 0, S_1 =
+    s1 and S_{n+1} = c S_n 2^-scale - S_{n-1}, one big-int product each,
+    rounded to a unit: the recurrence of s_n = q^n - q^-n, up to a common
+    factor, for c ~ (q + 1/q) 2^scale.  A rounding error made at step k
+    reaches entry n multiplied by s_{n-k}/s_1.
 
-    The entries follow from the Chebyshev recurrence S_{n+1} = 2 cos(theta)
-    S_n - S_{n-1} on these fixed-point integers, one big-int product each.
-    A rounding error made at step k reaches entry n multiplied by
-    sin((n - k) theta)/sin(theta), so make_context takes scale = bits +
+    On the unit circle q = e^{i theta} the entries are ints, S_n ~ sin(n
+    theta) 2^scale from c = 2 cos(theta) 2^scale, and that factor is
+    sin((n - k) theta)/sin(theta), so _extended_ring takes scale = bits +
     2 log2(d_max) + 10 + max(0, -log2|sin theta|): every entry is then
-    within 2^-bits of sin(n theta), relative, and no entry is rounded."""
-    two_cos = to_fixed(x.real._mpf_, scale + 1)
+    within 2^-bits of sin(n theta), relative, and no entry is rounded.
+
+    Off it the entries are _Gaussian, each product rounded to nearest in
+    its real part and down in its imaginary part.  With M_n = max(|q|^n,
+    |q|^-n), s_j/s_1 is a sum of j powers of q of modulus at most M_n, so
+    each rounding error, and the errors of c and S_1, reach entry n
+    within n^2 M_n units in all, up to a small factor; and |s_n| >= M_n
+    (1 - m^2), m = min(|q|, 1/|q|) < 1, so relative to s_n that is at
+    most -log2(1 - m^2) bits more: the bits the subtraction q^n - q^-n
+    cancels where q^{2n} is near 1.  _extended_ring takes scale = bits +
+    2 log2(d_max) + 10 + max(0, -log2(1 - m^2)), and every entry is then
+    within 2^-bits of s_n, relative."""
     half = 1 << (scale - 1)
-    prev, cur, s = 0, to_fixed(x.imag._mpf_, scale), [None]
+    prev, cur, s = 0, s1, [s0]
     for _ in range(d_max):
         s.append(cur)
-        prev, cur = cur, ((two_cos * cur + half) >> scale) - prev
+        prev, cur = cur, ((c * cur + half) >> scale) - prev
     return s
 
 
-def _powers_table(q, d_max, one):
-    """[None, q - 1/q, ..., q^d_max - q^-d_max], the table off the circle."""
-    s, qn = [None], one
+def _sines(x, d_max, scale):
+    """_recurrence's table of the unit x = e^{i theta} given at scale bits:
+    c = 2 Re x and S_1 = Im x at scale, and x itself at s[0]."""
+    g = _fixed(x, scale + 1)
+    return _recurrence(g.real, g.imag >> 1, d_max, scale, g >> 1)
+
+
+def _powers_table(q, d_max):
+    """[None, q - 1/q, ..., q^d_max - q^-d_max] in double, the table off
+    the circle."""
+    s, qn = [None], 1.0
     for _ in range(d_max):
         qn = qn * q
         s.append(qn - 1 / qn)
     return s
+
+
+class _Gaussian:
+    """A Gaussian integer real + i imag, the mantissa of a fixed-point
+    complex value.  It has the operations _FixedPoint applies to an int
+    mantissa, with an int on either side, and an int has its real, imag
+    and bit_length too."""
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __mul__(self, y):
+        return _Gaussian(self.real * y.real - self.imag * y.imag,
+                         self.real * y.imag + self.imag * y.real)
+
+    def __add__(self, y):
+        return _Gaussian(self.real + y.real, self.imag + y.imag)
+
+    def __sub__(self, y):
+        return _Gaussian(self.real - y.real, self.imag - y.imag)
+
+    __rmul__, __radd__ = __mul__, __add__
+
+    def __lshift__(self, k):
+        return _Gaussian(self.real << k, self.imag << k)
+
+    def __rshift__(self, k):
+        return _Gaussian(self.real >> k, self.imag >> k)
+
+    def bit_length(self):
+        return max(self.real.bit_length(), self.imag.bit_length())
+
+
+def _fixed(z, scale):
+    """An mpc z times 2^scale, each part rounded down to an integer."""
+    return _Gaussian(to_fixed(z.real._mpf_, scale),
+                     to_fixed(z.imag._mpf_, scale))
 
 
 def _circle_tables(theta, d_max):
@@ -246,7 +304,7 @@ def _double_table(q, d_max):
     of unity e^{i pi a/h} it lies on to roundoff, the table s (on the
     circle, _circle_tables'), and h or None."""
     if not _on_circle(q, _U_DOUBLE):
-        return q, _powers_table(q, d_max, 1.0), None
+        return q, _powers_table(q, d_max), None
     theta = cmath.phase(q)
     s, h = _circle_tables(np.array([theta]), d_max)
     s, h = [None] + s[0].tolist(), int(h[0])
@@ -256,56 +314,54 @@ def _double_table(q, d_max):
     return cmath.exp(1j * math.pi * a / h), s, h
 
 
-def _extended_table(q, d_max, u, bits):
-    """(q, s, h, W) at bits: as _double_table, and off the circle an mpc
-    table with W None.  On the circle s is the fixed-point table of
-    _guarded_sines at scale W, from x = q/|q| formed once at W bits, or
-    from x = e^{i pi a/h} at a root of unity, whose vanishing entries take
-    their limits (-1)^{an/h} n 2^W exactly; the q returned is x rounded
-    to bits."""
+def _extended_ring(q, d_max, u, bits):
+    """(q, h, ring) at bits: the fixed-point ring of a table at scale W
+    (_recurrence), and h or None.  Off the circle the table is q's, s[0]
+    is q at scale W, and q is kept.  On the circle it is _sines', of x =
+    q/|q| formed once at W bits, or of x = e^{i pi a/h} at a root of
+    unity, whose vanishing entries take their limits (-1)^{an/h} n 2^W
+    exactly; the q returned is x rounded to bits."""
     # |q| is 1 to roundoff on the circle, so q.imag bounds sin(theta); an
     # exact 0 (q = +-1) is the lattice point h = 1, whose entries all vanish
-    sin_mag = mp.mag(q.imag) if q.imag else 0
-    W = bits + 2 * d_max.bit_length() + 10 + max(0, -sin_mag)
+    guard = bits + 2 * d_max.bit_length() + 10
+    W = guard + (max(0, -mp.mag(q.imag)) if q.imag else 0)
     with mp.workprec(W):
         r = abs(q)
         if not _on_circle(r, u):
-            with mp.workprec(bits):
-                return q, _powers_table(q, d_max, mpf(1)), None, None
+            W = guard + max(0, -mp.mag(1 - min(r, 1 / r) ** 2))
+            with mp.workprec(W + 10):
+                c, s1, q1 = (_fixed(z, W) for z in (q + 1 / q, q - 1 / q, q))
+            return q, None, _FixedPoint(_recurrence(c, s1, d_max, W, q1), W,
+                                        bits)
         x = q / r
-    s = _guarded_sines(x, d_max, W)
+    s = _sines(x, d_max, W)
     h = lattice_order(s[1:], u, W)
     if h:
         # a double angle serves: it only rounds h theta/pi
         a = round(h * cmath.phase(complex(x)) / math.pi)
         with mp.workprec(W):
             x = mp.expjpi(mpf(a) / h)
-        s = _take_limits(_guarded_sines(x, d_max, W), a, h, 1 << W)
+        s = _take_limits(_sines(x, d_max, W), a, h, 1 << W)
     with mp.workprec(bits):
-        return +x, s, h or None, W
+        return +x, h or None, _FixedPoint(s, W, bits)
 
 
 def make_context(tag, d_max, q=None):
     d_max = max(d_max, 2)
     if isinstance(tag, (ComplexDouble, ComplexExtended)):
-        if q is None:
-            raise ValueError("numeric contexts need an explicit q")
-        if q == 0:
-            raise ValueError("q must be nonzero")
+        if q is None or q == 0 or not mp.isfinite(q):
+            raise ValueError("q must be nonzero and finite, got %s" % (q,))
         if isinstance(tag, ComplexDouble):
             q, s, h = _double_table(complex(q), d_max)
             ring = _Float64(None, 1.0, functools.partial(pow, q), _finite,
-                            functools.partial(_table_image, s=s, one=1.0))
+                            functools.partial(_table_image, s=s))
             return ProjectionContext(tag, q, 1.0, d_max, h, ring)
         u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
             else mpf(2) ** -tag.bits
         with mp.workprec(tag.bits):
             q = mpc(q)
-        (q, s, h, W), one = _extended_table(q, d_max, u, tag.bits), mpf(1)
-        ring = _FixedPoint(s, W, tag.bits, q) if W is not None else _Values(
-            None, one, functools.partial(pow, q),
-            image=functools.partial(_table_image, s=s, one=one), bits=tag.bits)
-        return ProjectionContext(tag, q, one, d_max, h, ring)
+        q, h, ring = _extended_ring(q, d_max, u, tag.bits)
+        return ProjectionContext(tag, q, mpf(1), d_max, h, ring)
     if isinstance(tag, RootOfUnityExact):
         fld, h = CycloField(tag.h), tag.h
         s = [None] + [fld.element_from_power(n) - fld.element_from_power(-n)
@@ -331,8 +387,7 @@ def project_monomial(m, ctx):
     if m.max_index() > ctx.d_max:
         raise ValueError("monomial index %d exceeds context d_max %d"
                          % (m.max_index(), ctx.d_max))
-    with ctx.ring.precision():
-        return _project(fold(m), ctx)
+    return _project(fold(m), ctx)
 
 
 def _order(row, h):
@@ -353,31 +408,19 @@ def _vanishes(row, h):
 def _project(row, ctx):
     """Image of the monomial whose row is given: zero or a pole where the
     row's order at the vanishing index is positive or negative, else the
-    row's projection in the ring its context gives for it."""
+    row's projection in its context's ring."""
     if _vanishes(row, ctx.vanishing_index):
         return ctx.one * 0
-    return ctx.ring.for_rows((row,)).project(row)
+    return ctx.ring.quotient(*ctx.ring.sides(row))
 
 
 class _Ring:
     """The one place an arithmetic is decided.  A context's ring gives
-    precision, the mpmath precision it and every ring it gives work at
-    (mp.workprec(bits) for an extended-precision ring, else a null
-    context); project, a row's image, the quotient of its sides;
-    for_rows, the ring that given rows are formed in, itself unless a
-    subclass says otherwise; and bound_terms.  Beside these, evaluate's
-    nested chain reads a ring's one, zero, sides, mul, add and
-    quotients."""
+    bits, the precision of an extended-precision output (None for every
+    other arithmetic), and bound_terms.  Beside these, _project reads a
+    ring's sides and quotient, and evaluate's nested chain its one, zero,
+    sides, mul, add and quotients."""
     bits = None
-
-    def precision(self):
-        return mp.workprec(self.bits) if self.bits else contextlib.nullcontext()
-
-    def project(self, row):
-        return self.quotient(*self.sides(row))
-
-    def for_rows(self, rows):
-        return self
 
     def bound_terms(self, nums):
         """Given the numerators of a chain's rows, in order: raise
@@ -386,49 +429,46 @@ class _Ring:
 
 
 class _FixedPoint(_Ring):
-    """The ring of a fixed-point table s, s_n = S_n 2^-scale, on pairs
-    (man, exp), man 2^exp: a row's sides are _row_sides', sigma on the
-    numerator, every product and sum is cut to wide = bits + 64 bits, and
-    a quotient is rounded once, to bits: project rounds a row once,
-    within 0.5 ulp plus a few 2^-62 ulp of the exact product of its
-    entries.  for_rows sends rows with a P' != 0 (their q^P' is complex)
-    to one mpc ring, made on first use, whose sides are each row's image
-    here (sigma and q^P' left off) over one."""
+    """The ring of every extended-precision q: a fixed-point table s,
+    s_n = S_n 2^-scale, S_n an int on the unit circle and a _Gaussian off
+    it, and s[0] = q at the same scale.  Its values are pairs (man, exp),
+    man 2^exp, man an int or a _Gaussian.  A row's sides are
+    _row_sides', sigma on the numerator; where P' != 0 the entry s[0]
+    joins the row as one more group, of exponent P', so q^P' is a power
+    of the fixed-point q on the numerator, or on the denominator where P'
+    < 0.  Every product and sum is cut to wide = bits + 64 bits, and a
+    quotient is rounded once, to bits, each part of a complex one apart:
+    a row's image is within 0.5 ulp plus a few 2^-62 ulp of the exact
+    product of its entries.  An output is an mpf where its mantissas are
+    ints and an mpc where one is a _Gaussian: off the circle, or once a
+    row's q^P' has joined it."""
     one, zero = (1, 0), (0, 0)
 
-    def __init__(self, s, scale, bits, q):
+    def __init__(self, s, scale, bits):
         self.s, self.scale, self.bits, self.wide = s, scale, bits, bits + 64
-        self.q = q
-
-    def for_rows(self, rows):
-        return self._complex if any(P for _, P, _ in rows) else self
-
-    @functools.cached_property
-    def _complex(self):
-        return _Values(None, mpf(1), functools.partial(pow, self.q),
-                       image=lambda groups: self.project((1, 0, groups)))
 
     def sides(self, row):
-        (nm, ne), den = self._row_sides(row[2])
-        return (-nm if row[0] < 0 else nm, ne), den
+        sigma, P, groups = row
+        return self._row_sides(groups + ((P, (0,)),) if P else groups, sigma)
 
-    def _row_sides(self, groups):
-        """The numerator and denominator of prod_f (prod_{F_n = f} s_n)^f,
-        each a pair (man, exp) meaning man 2^exp, man a signed integer of
-        at most `wide` bits.
+    def _row_sides(self, groups, sigma=1):
+        """The numerator and denominator of sigma prod_f (prod_{F_n = f}
+        s_n)^f, each a pair (man, exp) meaning man 2^exp, man a signed
+        integer (a _Gaussian off the circle) of at most `wide` bits.
 
         The sides are formed on the integers S_n themselves, each factor
         adding -scale to the exponent, and every product is cut to its top
         wide bits once it grows past them: each entry of a group, each
         squaring and multiply that raises the group to |f| (_power), and
         the group's product into its side.  A cut changes its value by
-        under 2^(1 - wide), relative, and the power that follows it
+        under 2^(1 - wide), relative (sqrt 2 times that for a _Gaussian,
+        each part cut alone, and so below), and the power that follows it
         multiplies that by |f| (a group entry) or by at most 2(|f| - 1) in
         all (the squarings), so a side is within T 2^(2 - wide) of the
         exact product of its entries, relative, T = sum (len(g) + 2)|f|
         over its groups."""
         s, scale, wide = self.s, self.scale, self.wide
-        sides = [(1, 0), (1, 0)]
+        sides = [(sigma, 0), (1, 0)]
         for f, g in groups:
             man, exp = 1, -scale * len(g)
             for n in g:
@@ -467,8 +507,16 @@ class _FixedPoint(_Ring):
         """num / den rounded once, to nearest: the integer quotient is
         formed to at least bits + 64 bits, its last bit set where the
         division leaves a remainder, so no exact half-way case is
-        invented.  A zero denominator raises ZeroDivisionError."""
+        invented.  A complex den is made real first, num conj(den) over
+        |den|^2, exactly, and each part of a complex quotient is rounded
+        so.  A zero denominator raises ZeroDivisionError."""
         (nm, ne), (dm, de) = num, den
+        if type(nm) is not int or type(dm) is not int:
+            nm, dm = nm * _Gaussian(dm.real, -dm.imag), \
+                dm.real ** 2 + dm.imag ** 2
+            re, im = (self.quotient((p, ne), (dm, de))
+                      for p in (nm.real, nm.imag))
+            return mp.make_mpc((re._mpf_, im._mpf_))
         sign = int((nm < 0) != (dm < 0))
         nm, dm = abs(nm), abs(dm)
         shift = max(0, self.wide + dm.bit_length() - nm.bit_length())
@@ -484,10 +532,10 @@ class _FixedPoint(_Ring):
 
 class _Values(_Ring):
     """The ring of the arithmetic's own values: Q(zeta_2h), the integers
-    at q = 1, mpc or double.  A row's sides are the products of its
-    entries of positive and of negative exponent, or, given a rounded
-    image (mpc and double, where deferring a division saves nothing), that
-    image over one; sigma and q^P' go on the numerator, and quotient is
+    at q = 1, or double.  A row's sides are the products of its entries
+    of positive and of negative exponent, or, given a rounded image
+    (double, where deferring a division saves nothing), that image over
+    one; sigma and q^P' go on the numerator, and quotient is
     an output's one division.  quotients divides several numerators by
     one denominator: in Q(zeta_2h) each is a product by its one inverse,
     which is exact; elsewhere each is its own division, so a rounded
@@ -495,9 +543,8 @@ class _Values(_Ring):
     numerator, output and term against double range."""
     mul, add = staticmethod(operator.mul), staticmethod(operator.add)
 
-    def __init__(self, s, one, q_power, quotient=operator.truediv,
-                 image=None, bits=None):
-        self.s, self.one, self.zero, self.bits = s, one, one * 0, bits
+    def __init__(self, s, one, q_power, quotient=operator.truediv, image=None):
+        self.s, self.one, self.zero = s, one, one * 0
         self.q_power, self.quotient, self.image = q_power, quotient, image
 
     def sides(self, row):
@@ -505,8 +552,7 @@ class _Values(_Ring):
         if self.image:
             num, den = self.image(groups), self.one
         else:
-            num, den = _factors(groups, self.s)
-            num, den = _product(num, self.one), _product(den, self.one)
+            num, den = _factors(groups, self.s, self.one)
         if P:
             num = num * self.q_power(P)
         return (-num if sigma < 0 else num), den
@@ -553,22 +599,22 @@ def _finite(num, den):
     return num
 
 
-def _factors(groups, s):
-    """The powers (prod_{F_n = f} s_n)^|f| of a row's groups, those of
-    f > 0 and of f < 0 apart: one power per exponent."""
+def _factors(groups, s, one):
+    """The products of a row's powers (prod_{F_n = f} s_n)^|f| of f > 0
+    and of f < 0 apart, one where there are none: one power per
+    exponent."""
     num, den = [], []
     for f, g in groups:
         g = _product([s[n] for n in g])
         (num if f > 0 else den).append(g if abs(f) == 1 else g ** abs(f))
-    return num, den
+    return _product(num, one), _product(den, one)
 
 
-def _table_image(groups, s, one):
-    """prod_f (prod_{F_n = f} s_n)^f over a table of values, with one
+def _table_image(groups, s):
+    """prod_f (prod_{F_n = f} s_n)^f over a table of doubles, with one
     division."""
-    num, den = _factors(groups, s)
-    out = _product(num, one)
-    return out / _product(den) if den else out
+    num, den = _factors(groups, s, 1.0)
+    return num / den
 
 
 def _product(factors, one=None):
@@ -585,30 +631,48 @@ def evaluate(dcr, ctx):
     root and rad are decided by their own orders.  The vanishing s_n of
     the live terms' rows take their limits.
 
-    Every arithmetic nests the sum, in the ring the context's ring gives
-    for the rows (for_rows) and at its precision, as one fraction A / B,
-    S = R_0 A / B: from the last term walked inward,
-    each ratio's sides N_i / D_i take B <- D_i B and A <- N_i A, plus B
-    where l_{i-1} is set.  a = root R_0 A / B and root share one
-    denominator, and a, root and r are one quotient each; in Q(zeta_2h)
-    a and root are products by one inverse of theirs.  On a
-    fixed-point table, every row of P' = 0, a is
-    then within 0.5 ulp plus kappa W 2^-(bits + 62), relative, of the
+    Every arithmetic nests the sum, in the context's ring, as one fraction
+    A / B, S = R_0 A / B: from the last term walked inward, each ratio's
+    sides N_i / D_i take B <- D_i B and A <- N_i A, plus B where l_{i-1}
+    is set.  a = root R_0 A / B and root share one denominator, and a,
+    root and r are one quotient each; in Q(zeta_2h) a and root are
+    products by one inverse of theirs.  In extended precision, on and off
+    the circle and whatever the rows' P', a is then within 0.5 ulp (each
+    part of a complex a) plus kappa W 2^-(bits + 62), relative, of the
     value its own table entries give, kappa = sum_z |T_z| / |sum_z T_z|
     and W the weight of the cuts (_row_sides' T of every row walked,
-    three per ratio and four for a): the error left is the table's.
-    Where each row is its image over one (mpc and double), B is one and
-    A is a Horner sum, each product and sum rounded: a is within about
-    2m u sum_z |T_z| of the sum of its rows' images, m the terms walked,
-    to first order.  Every row is formed first, base, ratios, root and
-    rad in that order, and then bound_terms is given the
-    walked rows' numerators, so a row past double range is reported
-    before a term past it."""
+    three per ratio and four for a): the error left is the table's, each
+    entry within 2^-bits of its s_n.  In double each row is its image
+    over one, so B is one and A is a Horner sum, each product and sum
+    rounded: a is within about 2m u sum_z |T_z| of the sum of its rows'
+    images, m the terms walked, to first order.  Every row is formed
+    first, base, ratios, root and rad in that order, and then bound_terms
+    is given the walked rows' numerators, so a row past double range is
+    reported before a term past it."""
     if ctx.d_max < dcr.d_max:
         raise ValueError("context covers d <= %d but DCR needs %d"
                          % (ctx.d_max, dcr.d_max))
-    with ctx.ring.precision():
-        return _evaluate_loop(dcr, ctx, ctx.ring.for_rows(dcr.rows))
+    rows, h, ring = dcr.rows, ctx.vanishing_index, ctx.ring
+    live = _walk(rows[:-2], h)
+    sides, mul, add = ring.sides, ring.mul, ring.add
+    walked = [sides(row) for row in rows[:len(live)]]
+    A, B = (ring.one if live[-1] else ring.zero), ring.one
+    for i in range(len(live) - 1, 0, -1):
+        N, D = walked[i]
+        B, A = mul(D, B), mul(N, A)
+        if live[i - 1]:
+            A = add(A, B)
+    root = None if _vanishes(rows[-2], h) else sides(rows[-2])
+    r = _project(rows[-1], ctx)
+    ring.bound_terms([N for N, _ in walked])
+    if root is None:
+        return AmplitudeValue(a=ctx.one * 0, r=r, root=ctx.one * 0)
+    # one denominator: Q(zeta_2h) inverts it once, far faster than root's
+    # own
+    (rn, rd), (bn, bd) = root, walked[0]
+    root, a = ring.quotients((mul(mul(rn, bd), B), mul(mul(rn, bn), A)),
+                             mul(mul(rd, bd), B))
+    return AmplitudeValue(a=a, r=r, root=root)
 
 
 def _walk(rows, h):
@@ -635,40 +699,12 @@ def _walk(rows, h):
     return live
 
 
-def _evaluate_loop(dcr, ctx, ring):
-    rows, h = dcr.rows, ctx.vanishing_index
-    live = _walk(rows[:-2], h)
-    sides, mul, add = ring.sides, ring.mul, ring.add
-    walked = [sides(row) for row in rows[:len(live)]]
-    A, B = (ring.one if live[-1] else ring.zero), ring.one
-    for i in range(len(live) - 1, 0, -1):
-        N, D = walked[i]
-        B, A = mul(D, B), mul(N, A)
-        if live[i - 1]:
-            A = add(A, B)
-    root = None if _vanishes(rows[-2], h) else sides(rows[-2])
-    r = _project(rows[-1], ctx)
-    ring.bound_terms([N for N, _ in walked])
-    if root is None:
-        return AmplitudeValue(a=ctx.one * 0, r=r, root=ctx.one * 0)
-    # one denominator: Q(zeta_2h) inverts it once, far faster than root's
-    # own
-    (rn, rd), (bn, bd) = root, walked[0]
-    root, a = ring.quotients((mul(mul(rn, bd), B), mul(mul(rn, bn), A)),
-                             mul(mul(rd, bd), B))
-    return AmplitudeValue(a=a, r=r, root=root)
-
-
 def _branch_sqrt(r, root, sqrt_fn):
     # sign of sqrt(r) such that root * sqrt(r) is the principal square
     # root of root^2 * r (right half plane, upper on the imaginary axis)
     w = sqrt_fn(r)
-    if root is None:
-        return w
-    c = root * w
-    if c.real < 0 or (c.real == 0 and c.imag < 0):
-        return -w
-    return w
+    c = root * w if root is not None else 1
+    return -w if c.real < 0 or (c.real == 0 and c.imag < 0) else w
 
 
 def amplitude_to_complex(v, ctx, bits=256):
@@ -678,10 +714,7 @@ def amplitude_to_complex(v, ctx, bits=256):
         with mp.workprec(bits):
             root = v.root.embed(bits) if v.root is not None else None
             return a.embed(bits) * _branch_sqrt(r.embed(bits), root, mp.sqrt)
-    if isinstance(a, Fraction):
-        root = complex(v.root) if v.root is not None else None
-        return complex(a) * _branch_sqrt(complex(r), root, cmath.sqrt)
-    with ctx.ring.precision():
+    with mp.workprec(ctx.ring.bits or mp.prec):
         return a * _branch_sqrt(r, v.root,
                                 mp.sqrt if ctx.ring.bits else cmath.sqrt)
 

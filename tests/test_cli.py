@@ -290,6 +290,26 @@ class TestSweep:
         assert float(pts[0]["q_im"]) == 0.0
 
     @pytest.mark.parametrize("engine", ("dcr-f64", "dcr-mp"))
+    @pytest.mark.parametrize("bound, value", (("--start", "nan"),
+                                              ("--start", "-inf"),
+                                              ("--stop", "inf"),
+                                              ("--stop", "x")))
+    def test_non_finite_grid_bound_usage_error(self, capsys, engine, bound,
+                                               value):
+        # a grid bound that is not a finite number is invalid usage: no
+        # row is printed, with status ok or any other
+        bounds = {"--start": "0.3", "--stop": "1.2", bound: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spins", "2,2,2,2,2,2", "--count", "2",
+                  "--engine", engine,
+                  *("%s=%s" % kv for kv in bounds.items())])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert ("expected a finite number" if value != "x"
+                else "expected a number") in out.err
+
+    @pytest.mark.parametrize("engine", ("dcr-f64", "dcr-mp"))
     def test_grid_holding_zero_exit_2(self, capsys, engine):
         # no amplitude is defined at q = 0: the grid is invalid input
         code, out, err = run(capsys, "sweep", "--spins", "2,2,2,2,2,2",

@@ -1,12 +1,15 @@
 """Exact cyclotomic arithmetic: polynomial coefficients and field ops."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+from qcyclo.compiler import SixJLabels, compile_sixj
 from qcyclo.cyclofield import CycloField, CycloNumber, cyclotomic_coeffs
+from qcyclo.projection import RootOfUnityExact, evaluate, make_context
 
 
 def _poly_mul_int(a, b):
@@ -170,3 +173,27 @@ class TestCycloField:
         assert a * b == b * a
         assert a * (b + F.one) == a * b + a
         assert (a - b) + b == a
+
+    def test_equal_elements_of_two_fields_of_one_h(self):
+        # one DCR evaluated in two contexts at h = 9 gives equal values,
+        # each of its own CycloField object
+        dcr = compile_sixj(SixJLabels(*(4,) * 6))
+        a1, a2 = (evaluate(dcr, make_context(RootOfUnityExact(9), dcr.d_max)).a
+                  for _ in range(2))
+        assert a1.field is not a2.field
+        assert (a1 - a2).is_zero()
+        assert a1 == a2 and hash(a1) == hash(a2)
+        assert a1 * a2 == a2 * a1
+        assert CycloField(9).q == CycloField(9).q != CycloField(9).one
+
+    @pytest.mark.parametrize("op", (operator.add, operator.sub,
+                                    operator.mul, operator.truediv))
+    def test_fields_of_different_h_do_not_mix(self, op):
+        # Q(zeta_10) and Q(zeta_14) have coefficient lists of 4 and 6
+        # entries; no arithmetic pairs them up
+        a, b = CycloField(5).q, CycloField(7).q
+        with pytest.raises(ValueError, match="do not mix"):
+            op(a, b)
+        with pytest.raises(ValueError, match="do not mix"):
+            op(b, a)
+        assert a != b and CycloField(5).one != CycloField(7).one

@@ -123,6 +123,18 @@ class TestPhiTable:
         with pytest.raises(ValueError):
             make_context(ComplexExtended(64), 5, q=0j)
 
+    @pytest.mark.parametrize("tag", (ComplexDouble(), ComplexExtended(64)),
+                             ids=("double", "extended"))
+    @pytest.mark.parametrize("q", (math.nan, math.inf, complex(math.inf, 1),
+                                   complex(1, math.nan), mpf("-inf"),
+                                   mpc(1, "nan")),
+                             ids=("nan", "inf", "inf+1j", "1+nanj",
+                                  "mpf-inf", "mpc-nan"))
+    def test_rejects_non_finite_q(self, tag, q):
+        # a non-finite q is invalid input, as q = 0 is, under either tag
+        with pytest.raises(ValueError, match="finite"):
+            make_context(tag, 5, q=q)
+
 
 class TestLimitRule:
     """[10]/[5] at h = 5: both quantum integers vanish, the quotient is
@@ -224,6 +236,43 @@ class TestExtendedSineTable:
                     # the limit (-1)^{an/h} n, exactly
                     assert ctx.ring.s[n] \
                         == (-1) ** (3 * n // h) * n * 2 ** ctx.ring.scale
+
+
+class TestOffCircleTable:
+    """Off the unit circle every entry S_n 2^-W of an extended context's
+    table, a Gaussian integer, is within two units of 2^-bits, relative,
+    of q^n - q^-n formed at 2 bits + 64 bits, where q^{2n} is near 1
+    too."""
+
+    @pytest.mark.parametrize("bits", (128, 256, 2048))
+    @pytest.mark.parametrize("point, d_max",
+                             ((lambda: mpf("1.0001") * mp.expjpi(mpf(1) / 502),
+                               500),
+                              (lambda: mpf("0.97") * mp.expj(mpf("0.81")), 200),
+                              # q^14 is within about 2^-96 of 1, so s_7 and
+                              # s_14 cancel about 96 bits
+                              (lambda: (1 + mpf(2) ** -100)
+                               * mp.expjpi(mpf(1) / 7), 30),
+                              # |s_n| is about n 2^-99 against |q^n| ~ 1:
+                              # each entry cancels about 99 bits
+                              (lambda: 1 + mpf(2) ** -100, 30),
+                              (lambda: mpf(3), 40)),
+                             ids=("r=1.0001", "r=0.97", "near-root",
+                                  "near-1", "q=3"))
+    def test_entries(self, bits, point, d_max):
+        with mp.workprec(bits):
+            q = point()
+        ctx = make_context(ComplexExtended(bits), d_max, q=q)
+        assert ctx.vanishing_index is None
+        s, W = ctx.ring.s, ctx.ring.scale
+        with mp.workprec(2 * bits + 64):
+            qn, qin, qi = 1, 1, 1 / q
+            for n in range(1, d_max + 1):
+                qn, qin = qn * q, qin * qi
+                got = mpc(mp.make_mpf(from_man_exp(s[n].real, -W)),
+                          mp.make_mpf(from_man_exp(s[n].imag, -W)))
+                want = qn - qin
+                assert abs(got - want) <= mpf(2) ** (1 - bits) * abs(want), n
 
 
 def as_fraction(v):
@@ -432,7 +481,7 @@ class TestRoundedRow:
         ctx = circle_context(128, 9, False)
         s, scale = ctx.ring.s, ctx.ring.scale
         ctx = dataclasses.replace(ctx, ring=projection._FixedPoint(
-            [*s[:5], 0, *s[6:]], scale, 128, ctx.q))
+            [*s[:5], 0, *s[6:]], scale, 128))
         assert projection._project((1, 0, ((1, (5,)), (-1, (1,)))), ctx) == 0
         with pytest.raises(ZeroDivisionError):
             projection._project((1, 0, ((1, (1,)), (-1, (5,)))), ctx)
@@ -480,6 +529,53 @@ class TestExtendedAccuracy:
             want, scale = self.reference(dcr, 2 * bits + 64)
             with mp.workprec(2 * bits + 64):
                 assert abs(got - want) <= mpf(2) ** (12 - bits) * scale, labels
+
+
+class TestOffCircleAccuracy:
+    """The fixed-point ring off the unit circle, and for rows of P' != 0
+    on it: a at 256 and 2048 bits is within 2^(12 - bits) sum_z |root
+    T_z| of its evaluation at 2 bits + 64 from the same q, the bound of
+    TestExtendedAccuracy."""
+
+    @staticmethod
+    def cases(bits):
+        """(dcr, q) pairs, each q formed once at bits: the symmetric T3
+        rows at r e^{i pi/502}, r = 1.0001 and 1.01, the GENERAL series
+        off the circle and q-Chu-Vandermonde at e^{i pi/6} and e^{i pi/7},
+        as TestRing.extended_cases has them."""
+        with mp.workprec(bits):
+            out = [(compile_sixj(SixJLabels(*(2 * j,) * 6)),
+                    mpf(r) * mp.expjpi(mpf(1) / 502))
+                   for r in ("1.0001", "1.01") for j in T3_ROWS]
+            out.append((compile_series(GENERAL),
+                        mpf("1.03") * mp.expj(mpf("0.81"))))
+            out += [(compile_series(chu_vandermonde(*mnN)[0]),
+                     mp.expjpi(mpf(1) / h))
+                    for mnN, h in (((6, 5, 4), 6), ((5, 6, 5), 7))]
+        return out
+
+    @staticmethod
+    def reference(dcr, q, bits):
+        """(a, sum_z |root T_z|) at bits, the sum started at |base|."""
+        ctx = make_context(ComplexExtended(bits), dcr.d_max, q=q)
+        with mp.workprec(bits):
+            root = abs(projection._project(dcr.rows[-2], ctx))
+            term = projection._project(dcr.rows[0], ctx)
+            scale = abs(term)
+            for row in dcr.rows[1:-2]:
+                term *= projection._project(row, ctx)
+                scale += abs(term)
+            return evaluate(dcr, ctx).a, root * scale
+
+    @pytest.mark.parametrize("bits", (256, 2048))
+    def test_matches_higher_precision(self, bits):
+        for dcr, q in self.cases(bits):
+            ctx = make_context(ComplexExtended(bits), dcr.d_max, q=q)
+            assert isinstance(ctx.ring, projection._FixedPoint)
+            got = evaluate(dcr, ctx).a
+            want, scale = self.reference(dcr, q, 2 * bits + 64)
+            with mp.workprec(2 * bits + 64):
+                assert abs(got - want) <= mpf(2) ** (12 - bits) * scale, q
 
 
 def live_term_scale(dcr, ctx):
@@ -544,7 +640,7 @@ class TestFixedPointChain:
         ctx = circle_context(128, 15, lattice)
         groups = qfactor.fold(m)[2]
         s, scale = ctx.ring.s, ctx.ring.scale
-        ring = projection._FixedPoint(s, scale, wide - 64, ctx.q)
+        ring = projection._FixedPoint(s, scale, wide - 64)
         sides = ring._row_sides(groups)
         for (man, exp), den in zip(sides, (False, True)):
             exact, count, T = 1, 0, 0
@@ -692,8 +788,8 @@ class TestEvaluate:
                     make_context(Classical(), dcr.d_max)):
             assert evaluate(dcr, ctx).a == project_monomial_chain(dcr, ctx)[0]
         # extended precision, u = 2^-bits and S = sum_z |root T_z| over the
-        # m terms walked, at the root (a fixed-point table) and off the
-        # circle (an mpc table)
+        # m terms walked, at the root (a fixed-point table of sines) and
+        # off the circle (one of Gaussian integers)
         bits = 256
         with mp.workprec(bits):
             off_circle = mpf("1.03") * mp.expj(mpf("0.81"))
@@ -713,34 +809,32 @@ class TestEvaluate:
                 # first order.  The two differ by under (3m + 2) u S.
                 bound = 3 * m + 2
             else:
-                # each row is its image rounded in mpmath, over one: both
-                # chains read the same rows.  An mpc product or sum rounds
-                # each part once, within u of its modulus.  The forward
-                # chain rounds T_z's z products, the m - 1 partial sums and
-                # the product by root: (2m - 1) u S.  The nested chain
-                # rounds a product and a sum at each of T_z's z levels and
-                # the two products by root and the base, and its quotient
-                # divides by one exactly: 2m u S.  The two differ by under
-                # 4m u S.
+                # rows of P' != 0 are complex, q^P' joining each row as a
+                # fixed-point power of q.  The nested chain rounds a once,
+                # each part, and its rows and cuts as above; the forward
+                # chain rounds each complex row image once and each of its
+                # mpc products and sums once per part, within u of the
+                # modulus, and in all under 3m u S as above.  The bound
+                # kept from the mpc ring these rows had before, 4m u S,
+                # holds it.
                 bound = 4 * m
             with mp.workprec(bits):
                 scale = sum(abs(t) for t in terms)
                 assert abs(got - want) <= bound * mpf(2) ** -bits * scale
 
     def test_general_series_off_the_circle(self):
-        # GENERAL's ratio rows have P' != 0, so off the circle each is an
-        # mpc image times q^P'.  The oracle forms each T_z from its
-        # q-factorials in plain mpmath at four times the bits, compiles
-        # nothing, and
-        # sums them; the prefactor is the principal square root of the
-        # radicand -q^7 Phi_3(q^2) [11]! / [4]!, as GENERAL defines it.
-        # An entry s_n = q^n - q^-n, from n rounded products and one
-        # division, is within (2n + 2) u (|q^n| + |q^-n|) / |s_n| of its
-        # value, under 66 u for n <= 11 at this q; the rows hold 68
-        # entries, counted with their |f|, and the chain rounds under
-        # 4m u S (above): under 2^13 u S in all, to first order, with
-        # S = sum_z |prefactor T_z|.  A row image that loses its q^P' or
-        # its sign is off by about S.
+        # GENERAL's ratio rows have P' != 0, so off the circle each is a
+        # row of Gaussian fixed-point entries with q^P' joined to it.  The
+        # oracle forms each T_z from its q-factorials in plain mpmath at
+        # four times the bits, compiles nothing, and sums them; the
+        # prefactor is the principal square root of the radicand -q^7
+        # Phi_3(q^2) [11]! / [4]!, as GENERAL defines it.  Each entry
+        # s_n = q^n - q^-n is within u of its value, relative, the rows
+        # hold 68 entries, counted with their |f|, and a is rounded once
+        # from its table's value: under 2^7 u S in all, to first order,
+        # with S = sum_z |prefactor T_z|, inside the 2^13 u S kept from
+        # the mpc ring.  A row image that loses its q^P' or its sign is
+        # off by about S.
         bits = 256
         with mp.workprec(bits):
             q = mpf("1.03") * mp.expj(mpf("0.81"))
@@ -1017,9 +1111,9 @@ class TestRing:
         "vanishing entries":
         "f4cd044950b4051380c41cc5e2adb748150d1a6ca6dcadbc3af22f7a6f9621a1",
         "general off the circle":
-        "cd34b9c339b996d6c2de0fdc5003f9dc197c402895c37fa2de9588ecc7fbc02b",
+        "68c435a13eff25a3733fb8ce10044436960e31ae56a6b44ae1b94b33661db78a",
         "q-Chu-Vandermonde":
-        "046d94fb1726a0b7348bf88e998b400b52fb9a0f1dd7969ae43d6d2f2aa1e4c2",
+        "41fd789e607cf3df019642c779d3fa91727f15efe4aa3e1d0eebd4a7de756af0",
     }
 
     def test_evaluate_bits_pinned(self):
@@ -1035,12 +1129,12 @@ class TestRing:
             got[name] = mpf_digest(values)
         assert got == self.DIGESTS
 
-    def test_complex_ring_made_once(self, monkeypatch):
-        # rows of P' != 0 on a fixed-point table are projected in one mpc
-        # ring, made on first use and kept with the context's ring
-        dcr = compile_series(chu_vandermonde(6, 5, 4)[0])
-        ctx = root_of_unity_context(23, ComplexExtended(128), dcr.d_max)
-        assert isinstance(ctx.ring, projection._FixedPoint)
+    def test_every_extended_context_is_fixed_point(self, monkeypatch):
+        # on the circle, at a root of unity and off the circle, from a
+        # double or an mpc q, and for rows of P' = 0 and P' != 0, an
+        # extended context's ring is the fixed-point one, no other ring
+        # is built, and an output is complex exactly where a table entry
+        # or a row's q^P' is
         made = []
         init = projection._Values.__init__
 
@@ -1048,13 +1142,23 @@ class TestRing:
             made.append(self)
             init(self, *args, **kwargs)
         monkeypatch.setattr(projection._Values, "__init__", counted)
-        first = evaluate(dcr, ctx)
-        assert len(made) <= 1
-        made.clear()
-        for _ in range(3):
-            assert evaluate(dcr, ctx) == first
-            for m in (dcr.base, *dcr.ratios):
-                assert qfactor.fold(m)[1] and project_monomial(m, ctx) != 0
+        sixj = compile_sixj(SixJLabels(*(4,) * 6))
+        series = compile_series(chu_vandermonde(6, 5, 4)[0])
+        assert not any(P for _, P, _ in sixj.rows)
+        assert any(P for _, P, _ in series.rows[1:-2])
+        with mp.workprec(128):
+            on = [mp.expj(mpf("0.81")), mp.expjpi(mpf(1) / 23),
+                  cmath.exp(0.81j)]
+            off = [mpf("1.03") * mp.expj(mpf("0.81")), mpf("0.7"), 1.05,
+                   -0.9 + 0.1j]
+        for dcr in (sixj, series):
+            for q in on + off:
+                ctx = make_context(ComplexExtended(128), dcr.d_max, q=q)
+                assert isinstance(ctx.ring, projection._FixedPoint)
+                complex_out = q in off or dcr is series
+                assert isinstance(evaluate(dcr, ctx).a, mpc) == complex_out
+                for m in (dcr.base, *dcr.ratios):
+                    assert project_monomial(m, ctx) != 0
         assert made == []
 
 
