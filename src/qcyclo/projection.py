@@ -228,9 +228,10 @@ def _recurrence(c, s1, d_max, scale, s0):
 
 def _sines(x, d_max, scale):
     """_recurrence's table of the unit x = e^{i theta} given at scale bits:
-    c = 2 Re x and S_1 = Im x at scale, and x itself at s[0]."""
+    c = 2 Re x and S_1 = Im x at scale, and s[0] the value (x 2^scale,
+    -scale)."""
     g = _fixed(x, scale + 1)
-    return _recurrence(g.real, g.imag >> 1, d_max, scale, g >> 1)
+    return _recurrence(g.real, g.imag >> 1, d_max, scale, (g >> 1, -scale))
 
 
 def _powers_table(q, d_max):
@@ -317,7 +318,8 @@ def _double_table(q, d_max):
 def _extended_ring(q, d_max, u, bits):
     """(q, h, ring) at bits: the fixed-point ring of a table at scale W
     (_recurrence), and h or None.  Off the circle the table is q's, s[0]
-    is q at scale W, and q is kept.  On the circle it is _sines', of x =
+    is the value q at scale W + max(0, -log2|q|), so that it keeps W bits
+    where |q| < 1, and q is kept.  On the circle it is _sines', of x =
     q/|q| formed once at W bits, or of x = e^{i pi a/h} at a root of
     unity, whose vanishing entries take their limits (-1)^{an/h} n 2^W
     exactly; the q returned is x rounded to bits."""
@@ -330,9 +332,10 @@ def _extended_ring(q, d_max, u, bits):
         if not _on_circle(r, u):
             W = guard + max(0, -mp.mag(1 - min(r, 1 / r) ** 2))
             with mp.workprec(W + 10):
-                c, s1, q1 = (_fixed(z, W) for z in (q + 1 / q, q - 1 / q, q))
-            return q, None, _FixedPoint(_recurrence(c, s1, d_max, W, q1), W,
-                                        bits)
+                c, s1 = _fixed(q + 1 / q, W), _fixed(q - 1 / q, W)
+            k = W + max(0, -mp.mag(q))
+            s = _recurrence(c, s1, d_max, W, (_fixed(q, k), -k))
+            return q, None, _FixedPoint(s, W, bits)
         x = q / r
     s = _sines(x, d_max, W)
     h = lattice_order(s[1:], u, W)
@@ -431,17 +434,17 @@ class _Ring:
 class _FixedPoint(_Ring):
     """The ring of every extended-precision q: a fixed-point table s,
     s_n = S_n 2^-scale, S_n an int on the unit circle and a _Gaussian off
-    it, and s[0] = q at the same scale.  Its values are pairs (man, exp),
-    man 2^exp, man an int or a _Gaussian.  A row's sides are
-    _row_sides', sigma on the numerator; where P' != 0 the entry s[0]
-    joins the row as one more group, of exponent P', so q^P' is a power
-    of the fixed-point q on the numerator, or on the denominator where P'
-    < 0.  Every product and sum is cut to wide = bits + 64 bits, and a
-    quotient is rounded once, to bits, each part of a complex one apart:
-    a row's image is within 0.5 ulp plus a few 2^-62 ulp of the exact
-    product of its entries.  An output is an mpf where its mantissas are
-    ints and an mpc where one is a _Gaussian: off the circle, or once a
-    row's q^P' has joined it."""
+    it, and s[0] the value q, a pair with a scale of its own.  Its values
+    are pairs (man, exp), man 2^exp, man an int or a _Gaussian.  A row's
+    sides are _row_sides', sigma on the numerator; where P' != 0 they take
+    s[0], cut to wide bits, to the power |P'|, as a group of one entry
+    would be, on the numerator, or on the denominator where P' < 0, so no
+    fixed-point 1/q is kept.  Every product and sum is cut to wide = bits
+    + 64 bits, and a quotient is rounded once, to bits, each part of a
+    complex one apart: a row's image is within 0.5 ulp plus a few 2^-62
+    ulp of the exact product of its entries.  An output is an mpf where
+    its mantissas are ints and an mpc where one is a _Gaussian: off the
+    circle, or once a row's q^P' has joined it."""
     one, zero = (1, 0), (0, 0)
 
     def __init__(self, s, scale, bits):
@@ -449,7 +452,11 @@ class _FixedPoint(_Ring):
 
     def sides(self, row):
         sigma, P, groups = row
-        return self._row_sides(groups + ((P, (0,)),) if P else groups, sigma)
+        sides = self._row_sides(groups, sigma)
+        if P:
+            sides[P < 0] = self.mul(sides[P < 0],
+                                    self._power(self._cut(*self.s[0]), abs(P)))
+        return sides
 
     def _row_sides(self, groups, sigma=1):
         """The numerator and denominator of sigma prod_f (prod_{F_n = f}
@@ -703,8 +710,12 @@ def _branch_sqrt(r, root, sqrt_fn):
     # sign of sqrt(r) such that root * sqrt(r) is the principal square
     # root of root^2 * r (right half plane, upper on the imaginary axis)
     w = sqrt_fn(r)
-    c = root * w if root is not None else 1
-    return -w if c.real < 0 or (c.real == 0 and c.imag < 0) else w
+    if root is None:
+        return w
+    c = root * w
+    if c.real < 0 or (c.real == 0 and c.imag < 0):
+        return -w
+    return w
 
 
 def amplitude_to_complex(v, ctx, bits=256):

@@ -542,7 +542,10 @@ class TestOffCircleAccuracy:
         """(dcr, q) pairs, each q formed once at bits: the symmetric T3
         rows at r e^{i pi/502}, r = 1.0001 and 1.01, the GENERAL series
         off the circle and q-Chu-Vandermonde at e^{i pi/6} and e^{i pi/7},
-        as TestRing.extended_cases has them."""
+        as TestRing.extended_cases has them, and both series at |q| =
+        1e-12, where q at the table's scale W would lose 40 bits, and
+        1e-100, below 2^-W: both have rows of P' > 0, q-Chu-Vandermonde
+        rows of P' < 0 too."""
         with mp.workprec(bits):
             out = [(compile_sixj(SixJLabels(*(2 * j,) * 6)),
                     mpf(r) * mp.expjpi(mpf(1) / 502))
@@ -552,6 +555,9 @@ class TestOffCircleAccuracy:
             out += [(compile_series(chu_vandermonde(*mnN)[0]),
                      mp.expjpi(mpf(1) / h))
                     for mnN, h in (((6, 5, 4), 6), ((5, 6, 5), 7))]
+            out += [(compile_series(series), mpf(r) * mp.expj(mpf("0.81")))
+                    for series in (GENERAL, chu_vandermonde(6, 5, 4)[0])
+                    for r in ("1e-12", "1e-100")]
         return out
 
     @staticmethod
