@@ -409,9 +409,20 @@ _COMMANDS = {"compile": cmd_compile, "eval": cmd_eval, "sweep": cmd_sweep,
              "diag": cmd_diag, "table": cmd_table, "tv": cmd_tv}
 
 
+def _bound_values(argv):
+    """argv with each `--start X` and `--stop X` written `--start=X`:
+    argparse reads a token that follows an option and looks like one,
+    such as -1e-3 or -inf, as an option, not as the option's value."""
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--start", "--stop"):
+            argv[i:i + 2] = ["=".join(argv[i:i + 2])]
+    return argv
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bound_values(
+        list(sys.argv[1:] if argv is None else argv)))
     try:
         _check_args(args)
         result = _COMMANDS[args.command](args)

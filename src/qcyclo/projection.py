@@ -17,17 +17,21 @@ zero each vanishing s_n takes its limit (-1)^{an/h} n.  The classical
 limit is the case a = 0, h = 1.  lattice_order decides when a numeric q
 is such a root.
 
-In double one rule (_circle_tables) builds the unit-circle table
-sin(n theta), limits included, for evaluate and the sweep alike.  In
-extended precision every table is fixed point, S_n ~ s_n 2^W with W the
+Every scalar context of a numeric q, double or extended, builds its
+table by one rule (_extended_ring): fixed point, S_n ~ s_n 2^W with W the
 bits plus guard bits, from one recurrence S_{n+1} = c S_n - S_{n-1}
 (_recurrence).  On the unit circle the S_n are integers ~ sin(n theta)
 2^W, c = 2 cos(theta), from the unit x = q/|q|, or x = e^{i pi a/h} at a
 root of unity, where a vanishing entry is its limit (-1)^{an/h} n 2^W
 exactly; off it they are Gaussian integers ~ (q^n - q^-n) 2^W, c = q +
-1/q.  No entry is rounded, every entry is within 2^-bits of its s_n,
-relative, and the lattice test on a unit-circle table compares integers,
-exactly.
+1/q.  No fixed-point entry is rounded, every one is within 2^-bits of
+its s_n, relative, and the lattice test on a unit-circle table compares
+integers, exactly.  Double takes that table at 53 + 64 bits and rounds each entry
+(each part of a complex one) once to the nearest double, so every entry
+is its s_n correctly rounded, a limit exactly n, and a part past double
+range +-inf.  SweepEvaluator keeps a rule of its own (_circle_tables):
+np.sin of n theta, limits included, for a whole grid at once, since one
+integer recurrence per point costs more than a whole sweep.
 
 A row's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f.  A DCR carries
@@ -61,7 +65,8 @@ r has its own; the integers at q = 1, with one Fraction per output; and
 double, each row its image, rounded as it is formed, over one.  In
 double a row's numerator (image times q^P'), a term of the sum (root
 left off) and an output past double range raise ProjectionRangeError, as
-they did when double multiplied its terms out one by one.
+they did when double multiplied its terms out one by one, and so does a
+row that reads an entry past range.
 """
 
 import cmath
@@ -164,12 +169,13 @@ def lattice_order(sines, u, scale=None):
     to the roundoff u of the precision q was given in, or 0.
 
     sines[..., n - 1] = sin(n theta) for n = 1..n_max; leading axes of a
-    float array are independent points.  Given a scale W, sines is one
-    point's fixed-point table, integers S_n ~ sin(n theta) 2^W.  The test
-    is |sin(n theta)| <= 64 n u, the roundoff of forming sin(n theta) from
-    a rounded q, and h is the first n that passes.  On a fixed-point table
-    it is |S_n| <= 64 n u 2^W, decided exactly on integers for any binary
-    u, so it holds below double range too."""
+    float array (the sweep's) are independent points.  Given a scale W,
+    sines is one point's fixed-point table (every scalar context's),
+    integers S_n ~ sin(n theta) 2^W.  The test is |sin(n theta)| <= 64 n
+    u, the roundoff of forming sin(n theta) from a rounded q, and h is the
+    first n that passes.  On a fixed-point table it is |S_n| <= 64 n u
+    2^W, decided exactly on integers for any binary u, so it holds below
+    double range too."""
     if scale is not None:
         mu, eu = mp.convert(u).man_exp  # u = mu 2^eu, exactly
         shift = eu + scale + 6  # 64 n u 2^W = n mu 2^shift
@@ -234,16 +240,6 @@ def _sines(x, d_max, scale):
     return _recurrence(g.real, g.imag >> 1, d_max, scale, (g >> 1, -scale))
 
 
-def _powers_table(q, d_max):
-    """[None, q - 1/q, ..., q^d_max - q^-d_max] in double, the table off
-    the circle."""
-    s, qn = [None], 1.0
-    for _ in range(d_max):
-        qn = qn * q
-        s.append(qn - 1 / qn)
-    return s
-
-
 class _Gaussian:
     """A Gaussian integer real + i imag, the mantissa of a fixed-point
     complex value.  It has the operations _FixedPoint applies to an int
@@ -282,11 +278,26 @@ def _fixed(z, scale):
                      to_fixed(z.imag._mpf_, scale))
 
 
+def _rounded(S, unit):
+    """S / unit in double, S an int or a _Gaussian and unit an int 2^W:
+    each part rounded once, to nearest, by an int division (which rounds
+    correctly where float(S) would overflow first), and +-inf past double
+    range."""
+    if type(S) is not int:
+        return complex(_rounded(S.real, unit), _rounded(S.imag, unit))
+    try:
+        return S / unit
+    except OverflowError:
+        return math.inf if S > 0 else -math.inf
+
+
 def _circle_tables(theta, d_max):
-    """(s, h) in double at the points e^{i theta}, theta a 1-d array:
-    s[:, n - 1] = sin(n theta), n <= d_max, and h each point's
-    lattice_order.  At a root of unity e^{i pi a/h} the entries are
-    formed again from the exact angle, each vanishing one at its limit."""
+    """(s, h) in double at the points e^{i theta}, theta a 1-d array, the
+    sweep's tables: s[:, n - 1] = sin(n theta), n <= d_max, and h each
+    point's lattice_order.  At a root of unity e^{i pi a/h} the entries
+    are formed again from the exact angle, each vanishing one at its
+    limit.  np.sin of a rounded n theta is not correctly rounded, unlike
+    a scalar context's entries (make_context)."""
     n = np.arange(1, d_max + 1)
     s = np.sin(np.multiply.outer(theta, n))
     h = lattice_order(s, _U_DOUBLE)
@@ -298,21 +309,6 @@ def _circle_tables(theta, d_max):
         s[pts] = np.where(n % hp == 0, np.where(k == hp, -n, n),
                           np.sin(np.pi * k / hp))
     return s, h
-
-
-def _double_table(q, d_max):
-    """(q, s, h) in double: q moved onto the unit circle, or onto the root
-    of unity e^{i pi a/h} it lies on to roundoff, the table s (on the
-    circle, _circle_tables'), and h or None."""
-    if not _on_circle(q, _U_DOUBLE):
-        return q, _powers_table(q, d_max), None
-    theta = cmath.phase(q)
-    s, h = _circle_tables(np.array([theta]), d_max)
-    s, h = [None] + s[0].tolist(), int(h[0])
-    if not h:
-        return q / abs(q), s, None
-    a = round(h * theta / math.pi)
-    return cmath.exp(1j * math.pi * a / h), s, h
 
 
 def _extended_ring(q, d_max, u, bits):
@@ -354,17 +350,24 @@ def make_context(tag, d_max, q=None):
     if isinstance(tag, (ComplexDouble, ComplexExtended)):
         if q is None or q == 0 or not mp.isfinite(q):
             raise ValueError("q must be nonzero and finite, got %s" % (q,))
-        if isinstance(tag, ComplexDouble):
-            q, s, h = _double_table(complex(q), d_max)
-            ring = _Float64(None, 1.0, functools.partial(pow, q), _finite,
-                            functools.partial(_table_image, s=s))
-            return ProjectionContext(tag, q, 1.0, d_max, h, ring)
+        # double rounds each entry once from a table 64 bits wider than
+        # its own: correctly, unless it lies within 2^-117 of a tie,
+        # relative
+        double = isinstance(tag, ComplexDouble)
+        bits = 53 + 64 if double else tag.bits
+        if double:
+            q = complex(q)
         u = _U_DOUBLE if isinstance(q, (int, float, complex)) \
-            else mpf(2) ** -tag.bits
-        with mp.workprec(tag.bits):
+            else mpf(2) ** -bits
+        with mp.workprec(bits):
             q = mpc(q)
-        q, h, ring = _extended_ring(q, d_max, u, tag.bits)
-        return ProjectionContext(tag, q, mpf(1), d_max, h, ring)
+        q, h, ring = _extended_ring(q, d_max, u, bits)
+        if not double:
+            return ProjectionContext(tag, q, mpf(1), d_max, h, ring)
+        unit = 1 << ring.scale
+        q, s = complex(q), [None] + [_rounded(S, unit) for S in ring.s[1:]]
+        ring = _Float64(s, 1.0, functools.partial(pow, q), _finite)
+        return ProjectionContext(tag, q, 1.0, d_max, h, ring)
     if isinstance(tag, RootOfUnityExact):
         fld, h = CycloField(tag.h), tag.h
         s = [None] + [fld.element_from_power(n) - fld.element_from_power(-n)
@@ -540,26 +543,22 @@ class _FixedPoint(_Ring):
 class _Values(_Ring):
     """The ring of the arithmetic's own values: Q(zeta_2h), the integers
     at q = 1, or double.  A row's sides are the products of its entries
-    of positive and of negative exponent, or, given a rounded image
-    (double, where deferring a division saves nothing), that image over
-    one; sigma and q^P' go on the numerator, and quotient is
-    an output's one division.  quotients divides several numerators by
-    one denominator: in Q(zeta_2h) each is a product by its one inverse,
-    which is exact; elsewhere each is its own division, so a rounded
-    quotient is rounded once.  _Float64, the double ring, checks each
+    of positive and of negative exponent; sigma and q^P' go on the
+    numerator, and quotient is an output's one division.  quotients
+    divides several numerators by one denominator: in Q(zeta_2h) each is
+    a product by its one inverse, which is exact; elsewhere each is its
+    own division, so a rounded quotient is rounded once.  _Float64, the
+    double ring, makes each row its image over one and checks each
     numerator, output and term against double range."""
     mul, add = staticmethod(operator.mul), staticmethod(operator.add)
 
-    def __init__(self, s, one, q_power, quotient=operator.truediv, image=None):
+    def __init__(self, s, one, q_power, quotient=operator.truediv):
         self.s, self.one, self.zero = s, one, one * 0
-        self.q_power, self.quotient, self.image = q_power, quotient, image
+        self.q_power, self.quotient = q_power, quotient
 
     def sides(self, row):
         sigma, P, groups = row
-        if self.image:
-            num, den = self.image(groups), self.one
-        else:
-            num, den = _factors(groups, self.s, self.one)
+        num, den = _factors(groups, self.s, self.one)
         if P:
             num = num * self.q_power(P)
         return (-num if sigma < 0 else num), den
@@ -572,23 +571,29 @@ class _Values(_Ring):
 
 
 class _Float64(_Values):
-    """The double ring: each row is its image over one, so every
-    denominator is one and a quotient is its numerator.  A row's
-    numerator (image, sigma and q^P'), an output, and every running
+    """The double ring: each row is its image over one, its two products
+    divided once (deferring that division saves nothing in double), so
+    every denominator is one and a quotient is its numerator.  A row's
+    numerator (image, then q^P' and sigma), an output, and every running
     product of a chain's numerators, a term of the sum (root left off),
-    must be nonzero finite doubles; one past double range raises
-    ProjectionRangeError.  Where a term passes range the nested sum may
-    still be finite, but near k = 4j such sums cancel terms past 2^1024
-    and are wrong by orders of magnitude, so a term past range is
-    refused, as it was when double multiplied its terms out."""
+    must be nonzero finite doubles; one past double range, or one that
+    reads an entry past it (+-inf), raises ProjectionRangeError.  Where a
+    term passes range the nested sum may still be finite, but near k = 4j
+    such sums cancel terms past 2^1024 and are wrong by orders of
+    magnitude, so a term past range is refused, as it was when double
+    multiplied its terms out."""
 
     def bound_terms(self, nums):
         if np.log2(np.abs(nums)).cumsum().max() >= 1024:
             raise ProjectionRangeError(_OVERFLOWED)
 
     def sides(self, row):
+        sigma, P, groups = row
         try:
-            num = super().sides(row)[0]
+            num, den = _factors(groups, self.s, self.one)
+            num = num / den
+            if P:
+                num = num * self.q_power(P)
         except (OverflowError, ZeroDivisionError):
             # x ** int raises instead of returning inf, and an underflowed
             # denominator divides by zero
@@ -596,7 +601,7 @@ class _Float64(_Values):
         if not 0 < abs(num) < math.inf:
             raise ProjectionRangeError("projection left double precision "
                                        "range; use an extended-precision tag")
-        return num, 1.0
+        return (-num if sigma < 0 else num), 1.0
 
 
 def _finite(num, den):
@@ -615,13 +620,6 @@ def _factors(groups, s, one):
         g = _product([s[n] for n in g])
         (num if f > 0 else den).append(g if abs(f) == 1 else g ** abs(f))
     return _product(num, one), _product(den, one)
-
-
-def _table_image(groups, s):
-    """prod_f (prod_{F_n = f} s_n)^f over a table of doubles, with one
-    division."""
-    num, den = _factors(groups, s, 1.0)
-    return num / den
 
 
 def _product(factors, one=None):
@@ -750,7 +748,9 @@ class SweepEvaluator:
 
     The DCR's rows (base, ratios, root, rad), made once when it was
     built, fill an integer matrix F and a vector P', so the log of row m at
-    a point is (log s @ F.T)[m] + P'_m log q, s as in a scalar context.
+    a point is (log s @ F.T)[m] + P'_m log q, s the table of
+    _circle_tables on the unit circle and exp(n log q) - exp(-n log q)
+    off it.
     Magnitudes and phases are carried apart; on the unit circle every s_n
     is real, a 6j row's phase is a whole number of half turns, and the
     signs of the terms and of the prefactor branch come out exact.  Roots

@@ -309,6 +309,30 @@ class TestSweep:
         assert ("expected a finite number" if value != "x"
                 else "expected a number") in out.err
 
+    @pytest.mark.parametrize("start", ("-1e-3", "-.5e1"))
+    def test_negative_bound_in_exponent_form(self, capsys, start):
+        # a bound that starts with '-' is the option's value, though
+        # argparse reads such a token as an option of its own
+        code, out, _ = run(capsys, "sweep", "--spins", "4,6,8,6,4,6",
+                           "--start", start, "--stop", "1.25", "--count",
+                           "4", "--real-axis", "--format", "json")
+        assert code == 0
+        pts = json.loads(out)["points"]
+        assert float(pts[0]["q_re"]) == float(start)
+        assert [p["status"] for p in pts] == ["ok"] * 4
+
+    @pytest.mark.parametrize("bound", ("--start", "--stop"))
+    @pytest.mark.parametrize("value", ("-inf", "-nan"))
+    def test_negative_non_finite_bound_as_next_token(self, capsys, bound,
+                                                     value):
+        bounds = {"--start": "0.3", "--stop": "1.2", bound: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spins", "2,2,2,2,2,2", "--count", "2",
+                  *(x for kv in bounds.items() for x in kv)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "expected a finite number" in out.err
+
     @pytest.mark.parametrize("engine", ("dcr-f64", "dcr-mp"))
     def test_grid_holding_zero_exit_2(self, capsys, engine):
         # no amplitude is defined at q = 0: the grid is invalid input

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -273,6 +274,89 @@ class TestOffCircleTable:
                           mp.make_mpf(from_man_exp(s[n].imag, -W)))
                 want = qn - qin
                 assert abs(got - want) <= mpf(2) ** (1 - bits) * abs(want), n
+
+
+def nearest_double(x):
+    """An mpf in double range rounded once to the nearest double."""
+    with mp.workprec(53):
+        return float(+x)
+
+
+class TestDoubleTable:
+    """Every entry of a ComplexDouble context's table is its s_n at 320
+    bits rounded once to the nearest double: sin(n arg q) of the double q
+    on the unit circle, sin(pi a n/h) at the root of unity e^{i pi a/h}
+    with each vanishing entry its limit (-1)^{an/h} n exactly, and each
+    part of q^n - q^-n off the circle."""
+
+    @staticmethod
+    def points(seed, count):
+        """count seeded (angle, modulus) pairs, the angle in (0, pi) and
+        the modulus in [0.98, 1.02]."""
+        rng = random.Random(seed)
+        return [(rng.uniform(0.01, 3.13), rng.uniform(0.98, 1.02))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("d_max", (121, 241, 481))
+    def test_unit_circle(self, d_max):
+        for theta, _ in self.points(d_max, 6):
+            q = cmath.exp(1j * theta)
+            ctx = make_context(ComplexDouble(), d_max, q=q)
+            assert ctx.vanishing_index is None
+            with mp.workprec(320):
+                arg = mp.arg(mpc(q))
+                assert ctx.ring.s[1:] == [nearest_double(mp.sin(n * arg))
+                                          for n in range(1, d_max + 1)], q
+
+    @pytest.mark.parametrize("d_max", (121, 241, 481))
+    def test_roots_of_unity(self, d_max):
+        rng = random.Random(d_max)
+        for _ in range(6):
+            h = rng.randint(3, d_max // 2)
+            a = rng.choice([a for a in range(1, 2 * h)
+                            if math.gcd(a, h) == 1])
+            q = cmath.exp(1j * math.pi * a / h)
+            ctx = make_context(ComplexDouble(), d_max, q=q)
+            assert ctx.vanishing_index == h
+            with mp.workprec(320):
+                want = [(-1) ** (a * n // h) * n if n % h == 0
+                        else nearest_double(mp.sin(mp.pi * a * n / h))
+                        for n in range(1, d_max + 1)]
+            assert ctx.ring.s[1:] == want, (a, h)
+
+    @pytest.mark.parametrize("d_max", (121, 241, 481))
+    def test_off_circle(self, d_max):
+        for theta, r in self.points(d_max, 6):
+            q = r * cmath.exp(1j * theta)
+            ctx = make_context(ComplexDouble(), d_max, q=q)
+            assert ctx.vanishing_index is None
+            want = []
+            with mp.workprec(320):
+                q = mpc(q)
+                for n in range(1, d_max + 1):
+                    s = q ** n - q ** -n
+                    want.append(complex(nearest_double(s.real),
+                                        nearest_double(s.imag)))
+            assert ctx.ring.s[1:] == want, q
+
+    def test_past_double_range(self):
+        # at |q| = 1e-3 the entries pass 1e308 from n = 103 on; the
+        # context builds, and (4,)*6 reads only entries in range
+        dcr = compile_sixj(SixJLabels(*(4,) * 6))
+        ctx = make_context(ComplexDouble(), 200, q=0.001)
+        assert math.isfinite(ctx.ring.s[102].real)
+        assert ctx.ring.s[103] == complex(-math.inf, 0)
+        got = amplitude_to_complex(evaluate(dcr, ctx), ctx)
+        ref = make_context(ComplexExtended(512), dcr.d_max, q=0.001)
+        want = complex(amplitude_to_complex(evaluate(dcr, ref), ref, 512))
+        assert abs(got - want) <= 2.0 ** -50 * abs(want)
+        # at 1e-100 already s_4 = -1e400 is past range: the rows that read
+        # it are refused
+        ctx = make_context(ComplexDouble(), dcr.d_max, q=1e-100)
+        assert math.isfinite(ctx.ring.s[3].real)
+        assert ctx.ring.s[4] == complex(-math.inf, 0)
+        with pytest.raises(ProjectionRangeError, match="left double"):
+            evaluate(dcr, ctx)
 
 
 def as_fraction(v):
@@ -950,33 +1034,47 @@ class TestEvaluate:
         with pytest.raises(ProjectionRangeError, match="overflowed double"):
             evaluate(dcr, ctx)
 
+    @staticmethod
+    def kappa_u_bound(dcr, terms, kappa, entry, op, level):
+        """test_double_error_within_kappa_bound's first-order bound on a
+        double a, in units of kappa u, from |T_z| up to a common factor:
+        each entry within entry u of its s_n, each operation that forms a
+        row's image within op u, and each product or sum of the nesting
+        within level u."""
+        weights, z = np.asarray(terms) / max(terms), np.arange(len(terms))
+        W = min(weights @ abs(z - y) for y in z) / weights.sum()
+        counts = [sum(abs(f) * len(g) for f, g in row[2])
+                  for row in dcr.rows[:-1]]
+        k = entry + 2 * op
+        return (k * sum(counts) + 2 * level * len(terms)) / kappa \
+            + (k * max(counts[1:-1], default=0) + 2 * level) * W
+
     @pytest.mark.parametrize("j", (30, 50, 70))
     def test_double_error_within_kappa_bound(self, j):
         # A first-order bound on the double a of T3's row j (k = 500,
         # q = e^{i pi/502}, u = 2^-53) against 512 bits, in units of
         # kappa u, kappa = sum_z |T_z| / |S| from diagnostics_sixj.
-        # - Each s_n = sin(n theta) is formed from the phase theta of the
-        #   rounded q (within 5u of pi/502), times n (u), by np.sin
-        #   (within 4 ulp, 8u).  Here n theta < 0.6 pi, where
-        #   |x cot x| <= 1, so s_n is within 14u, relative.
+        # - Each s_n is sin(n theta), theta the phase of the rounded q
+        #   (within 5u of pi/502), rounded once (u).  Here n theta <
+        #   0.6 pi, where |x cot x| <= 1, so s_n is within 6u of
+        #   sin(n pi/502), relative.
         # - A row of E entries, each counted |f| times, has its image
-        #   within E (14u + 4u) = 18 E u: its entries, and at most 2E
+        #   within E (6u + 4u) = 10 E u: its entries, and at most 2E
         #   products, powers and one division, each within 1 ulp.
         # - Nesting adds a product and a sum per level, u each, and a is
         #   (root base) A, two products more.
         # T_z = root base R_1..R_z is thus formed with a relative error
         # d_z, and for any y, a is off the exact S = sum_z T_z by at most
         # |d_y| |S| + sum_z |T_z| |d_z - d_y|.  d_z - d_y sums the
-        # ratios and levels between y and z, under (18 E_r + 2) u |z - y|,
-        # E_r the largest ratio's count, and |d_y| < (18 E_all + 2m + 2) u,
+        # ratios and levels between y and z, under (10 E_r + 2) u |z - y|,
+        # E_r the largest ratio's count, and |d_y| < (10 E_all + 2m + 2) u,
         # E_all the count of all m + 1 rows walked.  In units of kappa u
         # the bound is
-        #   (18 E_all + 2m + 2) / kappa + (18 E_r + 2) W,
+        #   (10 E_all + 2m + 2) / kappa + (10 E_r + 2) W,
         #   W = min_y sum_z |T_z| |z - y| / sum_z |T_z|,
-        # about 170, 220 and 260 for these rows (W = 1.1, 1.5, 1.8).
-        # Measured: 0.76, 0.86 and 0.86 kappa u (0.88, 0.90 and 0.78 with
-        # the sum multiplied forward), so beside the derived bound a
-        # ceiling of 4 kappa u guards what is measured.
+        # about 93, 124 and 145 for these rows (W = 1.1, 1.5, 1.8).
+        # Measured: 0.51, 0.19 and 0.31 kappa u, so beside the derived
+        # bound a ceiling of 4 kappa u guards what is measured.
         labels = SixJLabels(*(2 * j,) * 6)
         dcr = compile_sixj(labels)
         ctx = root_of_unity_context(502, ComplexDouble(), dcr.d_max)
@@ -989,14 +1087,53 @@ class TestEvaluate:
         # |T_z| up to a common factor, from the ratios' images
         logs = np.cumsum([0.0] + [math.log(abs(project_monomial(rz, ctx)))
                                   for rz in dcr.ratios])
-        weights, z = np.exp(logs - logs.max()), np.arange(len(logs))
-        W = min(weights @ abs(z - y) for y in z) / weights.sum()
-        counts = [sum(abs(f) * len(g) for f, g in row[2])
-                  for row in dcr.rows[:-1]]
-        bound = (18 * sum(counts) + 2 * len(logs) + 2) / kappa \
-            + (18 * max(counts[1:-1]) + 2) * W
+        bound = self.kappa_u_bound(dcr, np.exp(logs - logs.max()), kappa,
+                                   entry=6, op=2, level=1)
         assert err <= bound * kappa * 2.0 ** -53
         assert err <= 4 * kappa * 2.0 ** -53
+
+    @pytest.mark.parametrize("on_circle", (True, False),
+                             ids=("generic-angle", "off-circle"))
+    def test_double_error_within_kappa_bound_seeded(self, on_circle):
+        # The bound above at 20 seeded pairs of labels (twice-spins up to
+        # 160) and q = r e^{i theta}, theta generic, r = 1 or in [0.98,
+        # 1.02], against 512 bits at the same double q.  kappa and the
+        # |T_z| come from a 512-bit walk of the same rows, since
+        # diagnostics_sixj covers e^{i pi/h} alone.  Each entry is its s_n
+        # at that q correctly rounded, within u (each part of a complex
+        # one apart, so within u of it too).  On the circle every
+        # operation is real, as above: a row's image is within E (u + 4u)
+        # = 5 E u and a level's operations within u each.  Off it they are
+        # complex: a product is within sqrt(5) u (Brent, Percival and
+        # Zimmermann, 2007), a power by squaring within |f| - 1 of those,
+        # a sum within u, and Python's (Smith's) division within about
+        # 6.5u, (1 + sqrt 2) u from its numerators and 4u from its divisor
+        # and last divisions.  A row's image is then within E (u + 14u)
+        # = 15 E u and a level's operations within 3u each:
+        #   (15 E_all + 6m + 6) / kappa + (15 E_r + 6) W.
+        rng, u = random.Random(17), 2.0 ** -53
+        for labels in seeded_labels(17, 20, 160):
+            q = cmath.exp(1j * rng.uniform(0.05, 3.0))
+            if not on_circle:
+                q *= rng.uniform(0.98, 1.02)
+            dcr = compile_sixj(labels)
+            ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
+            assert ctx.vanishing_index is None
+            got = evaluate(dcr, ctx).a
+            ref = make_context(ComplexExtended(512), dcr.d_max, q=q)
+            with mp.workprec(512):
+                terms = list(itertools.accumulate(
+                    (projection._project(row, ref) for row in dcr.rows[:-2]),
+                    operator.mul))
+                mags = [abs(t) for t in terms]
+                kappa = float(sum(mags) / abs(sum(terms)))
+                want = evaluate(dcr, ref).a
+                err = float(abs(got - want) / abs(want))
+                mags = [float(m / max(mags)) for m in mags]
+            bound = self.kappa_u_bound(dcr, mags, kappa, entry=1,
+                                       op=2 if on_circle else 7,
+                                       level=1 if on_circle else 3)
+            assert err <= bound * kappa * u, (labels, q)
 
     def test_large_symbol_fits_in_double(self):
         # exponent bookkeeping keeps hundred-term symbols inside double
