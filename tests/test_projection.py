@@ -359,6 +359,30 @@ class TestDoubleTable:
             evaluate(dcr, ctx)
 
 
+class TestCircleTables:
+    """The sweep's table, _circle_tables: at a generic angle every entry
+    is within the 13u its docstring derives of sin(n theta) for the double
+    theta, absolute, u = 2^-53, at every d_max, so the split of theta
+    must follow d_max (2500 needs 12 bits of it, 619 ten)."""
+
+    # negative angles, and angles within 1e-3 of 0 and of +-pi
+    THETAS = (0.7, 2.3, -1.1, -2.9, 4e-4, -9e-4, math.pi - 7e-4,
+              -math.pi + 3e-4)
+
+    @pytest.mark.parametrize("d_max", (101, 619, 2500))
+    def test_entries_against_mpmath(self, d_max):
+        theta = np.array(self.THETAS)
+        s, h = projection._circle_tables(theta, d_max)
+        assert not h.any()
+        worst = 0.0
+        with mp.workprec(120):
+            for t, row in zip(self.THETAS, s):
+                t = mpf(t)
+                worst = max(worst, max(abs(float(v - mp.sin(n * t)))
+                                       for n, v in enumerate(row, 1)))
+        assert worst <= 13 * 2.0 ** -53, worst / 2.0 ** -53
+
+
 def as_fraction(v):
     """A binary float or mpf, exactly."""
     if not isinstance(v, mpf):
@@ -1471,6 +1495,38 @@ class TestSweep:
         ctx = make_context(ComplexDouble(), dcr.d_max, q=q)
         assert amplitude_to_complex(evaluate(dcr, ctx), ctx) == 0
         assert SweepEvaluator(dcr).amplitudes(np.array([q]))[0] == 0
+
+    def test_real_q_off_circle_is_real(self):
+        # each s_n of a real q is real, so its phase is a whole half turn
+        # and the amplitude exactly real, as on the scalar path
+        labels = SixJLabels(4, 6, 8, 6, 4, 6)
+        dcr = compile_sixj(labels)
+        qs = np.array([-0.5, -1.3])
+        got = SweepEvaluator(dcr).amplitudes(qs)
+        for q, g in zip(qs, got):
+            ctx = make_context(ComplexDouble(), dcr.d_max, q=complex(q))
+            want = amplitude_to_complex(evaluate(dcr, ctx), ctx)
+            assert want.imag == 0 and g.imag == 0, (q, g, want)
+            assert abs(g - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("tj", ((4, 6, 8, 6, 4, 6),
+                                    (40, 54, 58, 46, 28, 30),
+                                    (308, 305, 307, 319, 320, 304)))
+    def test_lattice_point_leaves_others_bit_identical(self, tj):
+        # a root of unity inside d_max makes the kernel take the vanishing
+        # orders; every other point's value is the one it has without it
+        dcr = compile_sixj(SixJLabels(*tj))
+        sweep = SweepEvaluator(dcr)
+        qs = np.exp(1j * np.linspace(0.21, 3.05, 12))
+        generic = sweep.amplitudes(qs)
+        for h in (dcr.d_max, dcr.d_max // 2 + 1):
+            mixed = qs.copy()
+            mixed[5] = cmath.exp(1j * math.pi / h)
+            got = sweep.amplitudes(mixed)
+            others = np.arange(len(qs)) != 5
+            assert got[others].tobytes() == generic[others].tobytes(), h
+            _, order = projection._circle_tables(np.angle(mixed), dcr.d_max)
+            assert order[5] == h and not order[others].any()
 
     def test_off_circle_points(self):
         dcr = compile_sixj(ALL_ONES)
