@@ -19,6 +19,7 @@ usage or inadmissible input (bad triad, pole at the requested root).
 """
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -32,9 +33,9 @@ from . import diagnostics, statesum
 from .compiler import (AdmissibilityError, SixJLabels, compile_sixj,
                        dcr_to_json)
 from .projection import (Classical, ComplexDouble, ComplexExtended,
-                         PoleError, ProjectionRangeError, RootOfUnityExact,
-                         SweepEvaluator, amplitude_to_complex, evaluate,
-                         make_context, root_of_unity_context)
+                         PoleError, RootOfUnityExact, SweepEvaluator,
+                         amplitude_to_complex, evaluate, make_context,
+                         root_of_unity_context)
 
 ENGINES = ("dcr-f64", "dcr-mp", "lse-f64", "lse-mp", "exact", "classical")
 _MP_ENGINES = ("dcr-mp", "lse-mp", "exact")
@@ -292,42 +293,38 @@ def cmd_sweep(args):
     dcr = compile_sixj(SixJLabels(*args.spins))
     compile_s = time.perf_counter() - t0
     qs = _sweep_grid(args)
-    rows = []
+    # one (value, usec) pair per point; NaN marks a pole and inf an
+    # overflow, as in the sweep kernel.  The extended ring has no range to
+    # leave: past double range its value converts to inf
     if args.engine == "dcr-f64":
         sw = SweepEvaluator(dcr)
         t0 = time.perf_counter()
         vals = sw.amplitudes(qs)
-        proj_s = time.perf_counter() - t0
-        per_us = 1e6 * proj_s / len(qs)
-        for i, (q, v) in enumerate(zip(qs, vals)):
-            ok = math.isfinite(v.real) and math.isfinite(v.imag)
-            rows.append((i, "%.12e" % q.real, "%.12e" % q.imag,
-                         "%.12e" % v.real if ok else "",
-                         "%.12e" % v.imag if ok else "",
-                         "ok" if ok else "ERROR", "%.3f" % per_us))
+        usecs = [1e6 * (time.perf_counter() - t0) / len(qs)] * len(qs)
     else:
         tag = ComplexExtended(args.bits)
-        proj_s = 0.0
-        for i, q in enumerate(qs):
+        vals, usecs = [], []
+        for q in qs:
             t0 = time.perf_counter()
             try:
                 # the context moves a double q that lies on the unit
                 # circle, or on a root of unity, there to roundoff
                 ctx = make_context(tag, dcr.d_max, q=complex(q))
-                v = complex(amplitude_to_complex(evaluate(dcr, ctx), ctx))
-                dt = time.perf_counter() - t0
-                rows.append((i, "%.12e" % q.real, "%.12e" % q.imag,
-                             "%.12e" % v.real, "%.12e" % v.imag, "ok",
-                             "%.3f" % (1e6 * dt)))
-            except (PoleError, ProjectionRangeError):
-                dt = time.perf_counter() - t0
-                rows.append((i, "%.12e" % q.real, "%.12e" % q.imag,
-                             "", "", "ERROR", "%.3f" % (1e6 * dt)))
-            proj_s += dt
+                vals.append(complex(amplitude_to_complex(evaluate(dcr, ctx),
+                                                         ctx)))
+            except PoleError:
+                vals.append(math.nan)
+            usecs.append(1e6 * (time.perf_counter() - t0))
+    rows = []
+    for i, (q, v, us) in enumerate(zip(qs, vals, usecs)):
+        amp = (("%.12e" % v.real, "%.12e" % v.imag, "ok")
+               if cmath.isfinite(v) else ("", "", "ERROR"))
+        rows.append((i, "%.12e" % q.real, "%.12e" % q.imag, *amp,
+                     "%.3f" % us))
     header = ("idx", "q_re", "q_im", "amp_re", "amp_im", "status", "usec")
     obj = {"points": [dict(zip(header, r)) for r in rows],
            "compile_us": 1e6 * compile_s,
-           "proj_us_per_point": 1e6 * proj_s / len(qs)}
+           "proj_us_per_point": sum(usecs) / len(qs)}
     footer = ["points=%d compile_us=%.1f proj_us_per_point=%.3f"
               % (len(qs), obj["compile_us"], obj["proj_us_per_point"])]
     return Result(header, rows, obj, footer)

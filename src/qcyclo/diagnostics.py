@@ -20,8 +20,10 @@ with N_z, D_z the unreduced numerator/denominator of the z-th summand.
 For the eager representation these are the raw quantum-factorial
 products of the series part (the triangle prefactor is an overall factor
 and drops out of the max); for the DCR they are the positive- and
-negative-exponent parts of the cumulative reduced monomials that the
-projection loop actually touches.  T_z here includes the overall
+negative-exponent parts of the cumulative reduced Phi_d monomials, the
+base times ratios 1..z, each Phi_d(q^2) weighted by its log10 modulus:
+the paper's definition.  Evaluation itself reads the DCR's rows over
+s_n = q^n - q^-n, not these monomials.  T_z here includes the overall
 prefactor, so |S| is the full amplitude.
 
 identity_checks reads its 6j amplitudes and quantum integers from a

@@ -35,7 +35,11 @@ more than a whole sweep: sin(n theta), n = mB + k, is Im(e^{i mB theta}
 e^{i k theta}), a product of two block rotations, each of an exact block
 angle by Veltkamp's split of theta, limits included.  Each entry is
 within 13u of sin(n theta) for the double theta, absolute (measured:
-2.3u at worst), not correctly rounded.
+2.3u at worst), not correctly rounded.  Off the circle the sweep reads
+its table as the kernel does, log|s_n| and arg s_n, from _off_circle:
+v = n log q, taken with Re v > 0, and s_n = +-e^v (1 - e^{-2v}), the
+bracket an expm1, so no q^n is formed, none overflows and q^n - q^-n
+does not cancel near the circle.
 
 A row's image multiplies the entries that share an exponent f and
 raises each group once, prod_f (prod_{F_n = f} s_n)^f.  A DCR carries
@@ -291,12 +295,9 @@ def _fixed(z, scale):
 
 
 def _rounded(S, unit):
-    """S / unit in double, S an int or a _Gaussian and unit an int 2^W:
-    each part rounded once, to nearest, by an int division (which rounds
-    correctly where float(S) would overflow first), and +-inf past double
-    range."""
-    if type(S) is not int:
-        return complex(_rounded(S.real, unit), _rounded(S.imag, unit))
+    """S / unit in double, S an int and unit an int 2^W: rounded once, to
+    nearest, by an int division (which rounds correctly where float(S)
+    would overflow first), and +-inf past double range."""
     try:
         return S / unit
     except OverflowError:
@@ -410,10 +411,16 @@ def make_context(tag, d_max, q=None):
         q, h, ring = _extended_ring(q, d_max, u, bits)
         if not double:
             return ProjectionContext(tag, q, mpf(1), d_max, h, ring)
+        # off the circle an entry's two int parts are rounded apart
         unit = 1 << ring.scale
-        q, s = complex(q), [None] + [_rounded(S, unit) for S in ring.s[1:]]
+        q, s = complex(q), [None] + [
+            _rounded(S, unit) if type(S) is int
+            else complex(_rounded(S.real, unit), _rounded(S.imag, unit))
+            for S in ring.s[1:]]
         ring = _Float64(s, 1.0, functools.partial(pow, q), _finite)
         return ProjectionContext(tag, q, 1.0, d_max, h, ring)
+    if q is not None:
+        raise ValueError("q applies to numeric tags only, not %r" % (tag,))
     if isinstance(tag, RootOfUnityExact):
         fld, h = CycloField(tag.h), tag.h
         s = [None] + [fld.element_from_power(n) - fld.element_from_power(-n)
@@ -779,6 +786,25 @@ def classical_project(dcr):
     return evaluate(dcr, make_context(Classical(), dcr.d_max))
 
 
+def _off_circle(q, n):
+    """(log|s_n|, arg s_n in half turns), rows the points q off the unit
+    circle and columns the indices n, with no q^n formed: v = n log q,
+    negated where |q| < 1 so that Re v > 0, gives s_n = e^v (1 - e^{-2v}),
+    times -1 where |q| < 1, and the bracket is -expm1(-2v), so an s_n
+    keeps its digits where q^n is past double range or q^n - q^-n cancels
+    near the circle.  A real q takes log|q| and adds a half turn at odd n
+    where q < 0, so each phase is a whole number of half turns."""
+    lq = np.log(q)
+    real = q.imag == 0
+    lq.imag[real] = 0
+    inside = lq.real < 0
+    v = np.multiply.outer(np.where(inside, -lq, lq), n)
+    b = -np.expm1(-2 * v)
+    half = (v.imag + np.angle(b)) / np.pi + inside[:, None]
+    half[real & (q.real < 0)] += n % 2
+    return v.real + np.log(np.abs(b)), half
+
+
 def _turn(t):
     """e^{i pi t}, exact where 2t is an integer."""
     t2 = 2 * t
@@ -798,17 +824,17 @@ class SweepEvaluator:
 
     The DCR's rows (base, ratios, root, rad), made once when it was
     built, fill an integer matrix F and a vector P', so the log of row m at
-    a point is (log s @ F.T)[m] + P'_m log q, s the table of
-    _circle_tables on the unit circle and exp(n log q) - exp(-n log q)
-    off it, where a real q takes z = exp(n log|q|) times an exact (-1)^n.
-    Magnitudes and phases are carried apart; on the unit circle and on
-    the real axis every s_n is real, a 6j row's phase is a whole number of
-    half turns, and the signs of the terms and of the prefactor branch
-    come out exact.  Roots of unity take the limits and vanishing orders
-    of the scalar rule; a grid with no root of unity inside d_max skips
-    the orders, every term live, and one where every row has P' = 0 and
-    every point lies on the circle skips the q^P' terms.  The base and the
-    largest term are factored out before exp.
+    a point is (log s @ F.T)[m] + P'_m log q.  Every point's table comes
+    in the one form the kernel reads, log|s_n| and arg s_n in half turns:
+    from _circle_tables on the unit circle and from _off_circle, which
+    forms no q^n, off it.  Magnitudes and phases are carried apart; on
+    the unit circle and on the real axis every s_n is real, a 6j row's
+    phase is a whole number of half turns, and the signs of the terms and
+    of the prefactor branch come out exact.  Roots of unity take the
+    limits and vanishing orders of the scalar rule; a grid with no root
+    of unity inside d_max skips the orders, every term live, and one where
+    every row has P' = 0 and every point lies on the circle skips the q^P'
+    terms.  The base and the largest term are factored out before exp.
     """
 
     def __init__(self, dcr):
@@ -824,40 +850,29 @@ class SweepEvaluator:
     def amplitudes(self, qs):
         """Amplitude a * sqrt(r) for each q, as a complex array; the
         prefactor branch matches evaluate() (root * sqrt(rad) in the
-        right half plane).  On the unit circle NaN marks a pole and
-        nothing else, and inf a value past double range."""
+        right half plane).  At every point, on the unit circle or off
+        it, NaN marks a pole and nothing else, and inf a value past double
+        range."""
         qs = np.asarray(qs, dtype=complex)
         R, F = self._nratios, self._F
         n = np.arange(1, F.shape[1] + 1)
         theta = np.angle(qs)
         on = _on_circle(qs, _U_DOUBLE)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # every point's table as log|s_n| and arg s_n in half turns: on
+            # the circle s_n is real, a half turn where it is negative, and
+            # the table's buffer takes log|s_n|, then the phases
             s, h = _circle_tables(theta, F.shape[1])
             h = np.where(on, h, 0)
-            off = np.nonzero(~on)[0]
-            if len(off):
-                s, q = s.astype(complex), qs[off]
-                w = np.multiply.outer(np.log(q), n)
-                # at a real q, z = exp(n log|q|), as at a positive q, times
-                # an exact (-1)^n: every phase is a whole half turn
-                real = q.imag == 0
-                w.imag[real] = 0
-                z = np.exp(w)
-                z[real & (q.real < 0), ::2] *= -1
-                s[off] = z - 1 / z
-            # phases in half turns: a real s_n has 0 or 1.  The table's
-            # buffer takes log|s_n|, then the phases, and is freed before
-            # the (point, row) arrays below are made
-            if np.iscomplexobj(s):
-                half = np.angle(s) / np.pi
-                s = np.abs(s)
-            else:
-                half = s < 0
-                s = np.abs(s, out=s)
-            logs = np.log(s, out=s) @ F.T
+            half = s < 0
+            logs = np.log(np.abs(s, out=s), out=s) @ F.T
             np.copyto(s, half)
             turns = s @ F.T
             del s, half
+            off = np.nonzero(~on)[0]
+            if len(off):
+                s, half = _off_circle(qs[off], n)
+                logs[off], turns[off] = s @ F.T, half @ F.T
             if len(off) or self._P.any():
                 logs += np.outer(np.where(on, 0.0, np.log(np.abs(qs))),
                                  self._P)

@@ -342,6 +342,20 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err.startswith("configuration error:") and "q = 0" in err
 
+    def test_count_below_one_exit_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--spins", "2,2,2,2,2,2",
+                             "--start", "0.3", "--stop", "1.2", "--count", "0")
+        assert code == 2 and out == ""
+        assert err == "configuration error: --count must be >= 1\n"
+
+    def test_spin_not_an_integer_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spins", "1,2,3,4,5,x", "--start", "0.3",
+                  "--stop", "1.2", "--count", "2"])
+        assert exc.value.code == 2
+        assert "argument --spins: invalid literal for int() with base 10: " \
+            "'x'" in capsys.readouterr().err
+
 
 class TestDiag:
     def test_json_fields(self, capsys):

@@ -36,6 +36,8 @@ COMMANDS.update({
     "sweep-real-axis": ("sweep", "--spins", "4,6,8,6,4,6", "--start", "1.05",
                         "--stop", "1.25", "--count", "4", "--real-axis"),
     "table-t1": ("table", "t1"),
+    "table-t3": ("table", "t3", "--bits", "256"),
+    "table-t4": ("table", "t4"),
     "tv": ("tv", "--triangulation", BALL, "--level", "5"),
     "tv-no-weights": ("tv", "--triangulation", BALL, "--level", "5",
                       "--no-weights"),
@@ -175,6 +177,18 @@ GOLDEN = {
         '4345a6268f45a1e56ec6e54dbdfc1d66f79d9caae35577a248293509898ad37b',
     'table-t1-text':
         '7ec96290e198837a4113876e8b83d2227cf5ab0fad69df11a627baad99e919d3',
+    'table-t3-csv':
+        '36e40777a852003f656ecdb56a014cceca15e17b5f5aa93d087c04e4541f4948',
+    'table-t3-json':
+        'b018727e423abc6311b2d53b7891695e0e6d314dd6c9f6af88233cfb77ede269',
+    'table-t3-text':
+        '23e830261d43637223e58c78fc4c1d7adc44fbb2b004d04cb7599b58cbca485e',
+    'table-t4-csv':
+        'ff54092b3de9e69cffd39a8c2f95699b7c633e5dac3d2e09951b1235e5478e22',
+    'table-t4-json':
+        '0741dc41432b261271867a29389f875ea01e27b2250db79c984ef00f798b51da',
+    'table-t4-text':
+        '3bad1d7743c2cc134d6547a60d24cea8422528cdd5595ee025500ce9d48ec8d8',
     'tv-csv':
         'ba37703ab0d4f0e54a59bb8ad85c9d801969f42f654adcd19f1cfdb4a8cc97fb',
     'tv-json':

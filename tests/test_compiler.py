@@ -110,6 +110,27 @@ class TestDescriptor:
         assert bounds(series_from_sixj(sixj_descriptor(ALL_ONES))) == (3, 4)
         assert bounds(series_from_sixj(sixj_descriptor(HALF_MIX))) == (2, 2)
 
+    @pytest.mark.parametrize("num_args, den_args, match", (
+        # a slope-0 argument below 0 has no factorial at any z
+        ((AffineForm(0, +1), AffineForm(5, -1)), (AffineForm(-1, 0),),
+         "empty summation range: series is identically zero"),
+        # z >= 5 from the slope +1 argument, z <= 2 from the slope -1 one
+        ((AffineForm(-5, +1), AffineForm(2, -1)), (),
+         "empty summation range: series is identically zero"),
+        ((AffineForm(0, +1),), (AffineForm(3, 0),),
+         "series unbounded above: no slope -1 factorial argument"),
+        ((AffineForm(3, -1),), (AffineForm(3, 0),),
+         "series unbounded below: no slope \\+1 factorial argument")))
+    def test_compile_refuses_range(self, num_args, den_args, match):
+        with pytest.raises(ValueError, match=match):
+            compile_series(SeriesDescriptor(num_args, den_args))
+
+    def test_negative_twice_spin(self):
+        with pytest.raises(ValueError,
+                           match="tj4 must be a non-negative twice-spin, "
+                                 "got -2"):
+            SixJLabels(2, 2, 2, -2, 2, 2)
+
 
 class TestRatio:
     def test_all_ones_z3(self):

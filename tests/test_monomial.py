@@ -67,6 +67,10 @@ class TestMonomialAlgebra:
         assert s.rad.P in (0, 1)
         assert s.root.sigma == 1
 
+    def test_sigma_is_a_sign(self):
+        with pytest.raises(ValueError, match="sigma must be \\+1 or -1, got 0"):
+            CycloMonomial(sigma=0)
+
     def test_identity(self):
         assert (IDENTITY.sigma, IDENTITY.P, IDENTITY.exps) \
             == (1, 0, ExponentVector())

@@ -188,6 +188,21 @@ class TestContexts:
         with pytest.raises(ValueError):
             make_context("bogus", 8)
 
+    def test_tag_floors(self):
+        with pytest.raises(ValueError, match="extended precision needs "
+                                             ">= 53 bits, got 52"):
+            ComplexExtended(52)
+        with pytest.raises(ValueError,
+                           match="root-of-unity order h must be >= 3, got 2"):
+            RootOfUnityExact(2)
+
+    @pytest.mark.parametrize("tag", (RootOfUnityExact(7), Classical()))
+    def test_exact_tags_refuse_q(self, tag):
+        # the exact field and q = 1 fix their own q; one passed is refused,
+        # not ignored
+        with pytest.raises(ValueError, match="q applies to numeric tags"):
+            make_context(tag, 8, q=0.5)
+
 
 def entry(ctx, n):
     """s_n of a fixed-point table, S_n 2^-scale, as an exact mpf."""
@@ -1527,6 +1542,21 @@ class TestSweep:
             assert got[others].tobytes() == generic[others].tobytes(), h
             _, order = projection._circle_tables(np.angle(mixed), dcr.d_max)
             assert order[5] == h and not order[others].any()
+
+    @pytest.mark.parametrize("tj, qs", (
+        ((200,) * 6, (10, 21.5, 0.1, 0.05, 5 * cmath.exp(0.3j))),
+        ((40, 54, 58, 46, 28, 30),
+         (1 + 1e-9, 1 - 1e-9, (1 + 1e-9) * cmath.exp(0.7j)))))
+    def test_off_circle_matches_extended(self, tj, qs):
+        # far from the circle q^n leaves double range, and within 1e-9 of
+        # it q^n - q^-n cancels seven digits; the kernel forms neither, so
+        # each point is within 1e-10 of the 192-bit value
+        dcr = compile_sixj(SixJLabels(*tj))
+        got = SweepEvaluator(dcr).amplitudes(np.array(qs, dtype=complex))
+        for q, g in zip(qs, got):
+            ctx = make_context(ComplexExtended(192), dcr.d_max, q=complex(q))
+            want = complex(amplitude_to_complex(evaluate(dcr, ctx), ctx))
+            assert abs(g - want) <= 1e-10 * abs(want), (q, g, want)
 
     def test_off_circle_points(self):
         dcr = compile_sixj(ALL_ONES)

@@ -150,6 +150,9 @@ class TestTriangulation:
                                     '"tetrahedra": []}')
         with pytest.raises(ValueError, match="malformed"):
             triangulation_from_json("{nope")
+        with pytest.raises(ValueError, match="malformed triangulation "
+                                             "object: not a JSON object"):
+            triangulation_from_json("[]")
 
 
 class TestColorings:
@@ -182,6 +185,12 @@ class TestColorings:
                    for a, b, c in triads):
                 want.append(x)
         assert got == want == [0, 2]
+
+    def test_negative_level(self):
+        tri = load_triangulation(str(DATA / "ball_1tet.json"))
+        with pytest.raises(ValueError, match="level must be nonnegative, "
+                                             "got -1"):
+            list(admissible_colorings(tri, -1))
 
     def test_level_zero(self):
         tri = load_triangulation(str(DATA / "ball_4tet.json"))
