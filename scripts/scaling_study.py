@@ -14,6 +14,7 @@ Results print as CSV on stdout; redirect to keep them.
 """
 
 import argparse
+import gc
 import sys
 import time
 import tracemalloc
@@ -27,8 +28,12 @@ from qcyclo.qfactor import clear_caches
 
 def cold_compile(j):
     """The DCR of the symmetric 6j of spin j and the peak bytes traced
-    while compiling it with cleared caches."""
+    while compiling it with cleared caches.  A full collection also
+    empties the interpreter's free lists, whose blocks tracemalloc does
+    not see reused: without it a peak read up to 30% lower right after
+    another compile than in a fresh process."""
     clear_caches()
+    gc.collect()
     tracemalloc.start()
     try:
         dcr = compile_sixj(SixJLabels(*(2 * j,) * 6))

@@ -275,10 +275,7 @@ def cmd_diag(args):
 
 
 def _sweep_grid(args):
-    if args.count == 1:
-        ts = np.array([args.start])
-    else:
-        ts = np.linspace(args.start, args.stop, args.count)
+    ts = np.linspace(args.start, args.stop, args.count)
     if not args.real_axis:
         return np.exp(1j * ts)
     if not ts.all():

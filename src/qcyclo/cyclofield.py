@@ -8,11 +8,20 @@ q^{2h} = 1 and Phi_h(q^2) = 0 hold exactly by construction; the latter is
 what makes vanishing at a root of unity a statement about integer
 exponents rather than about numerically small values.
 
+A coefficient is a Python int until a division makes it rational (a
+Fraction): the classes of x^k, and so every sum and product of them, stay
+in Z[x], free of any common denominator.  The inverse is one
+fraction-free solve: scaled to integer coefficients by their common
+denominator D, an element's multiplication matrix M on the power basis
+(column j is D * self * x^j) is solved for M c = e_0 by Bareiss
+elimination, in which every division is exact, and the inverse is D * c.
+
 Also home to the exact integer coefficients of the cyclotomic polynomials
 themselves, obtained by repeated exact division of x^n - 1.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -67,30 +76,29 @@ class CycloField:
             row = [s + lead * r for s, r in zip(shifted, rows[0])]
             rows.append(tuple(row))
         self._red = rows
-        self.zero = CycloNumber(self, (Fraction(0),) * self.degree)
+        self.zero = CycloNumber(self, (0,) * self.degree)
         self.one = self.from_rational(1)
         self.q = self.element_from_power(1)
 
     def from_rational(self, r):
-        c = [Fraction(0)] * self.degree
-        c[0] = Fraction(r)
+        c = [0] * self.degree
+        c[0] = r if type(r) is int else Fraction(r)
         return CycloNumber(self, tuple(c))
 
     def element_from_power(self, k):
         """The class of x^k; exponents reduce mod 2h since x^{2h} = 1."""
         k %= self.n
         if k < self.degree:
-            c = [Fraction(0)] * self.degree
-            c[k] = Fraction(1)
+            c = [0] * self.degree
+            c[k] = 1
             return CycloNumber(self, tuple(c))
-        return CycloNumber(self, tuple(Fraction(v)
-                                       for v in self._red[k - self.degree]))
+        return CycloNumber(self, self._red[k - self.degree])
 
     def q_power(self, P):
         return self.element_from_power(P)
 
     def _reduce(self, conv):
-        out = list(conv[:self.degree]) + [Fraction(0)] * (self.degree - len(conv))
+        out = list(conv[:self.degree]) + [0] * (self.degree - len(conv))
         for k in range(self.degree, len(conv)):
             ck = conv[k]
             if ck:
@@ -142,10 +150,10 @@ class CycloNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            o = Fraction(other)
-            return CycloNumber(self.field, tuple(a * o for a in self.coeffs))
+            return CycloNumber(self.field,
+                               tuple(a * other for a in self.coeffs))
         deg, other = self.field.degree, self._coeffs_of(other)
-        conv = [Fraction(0)] * (2 * deg - 1)
+        conv = [0] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other):
@@ -158,18 +166,34 @@ class CycloNumber:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid in Q[x] against the minimal polynomial
-        r0 = [Fraction(c) for c in self.field.minpoly]
-        r1 = list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        const = r0[0]  # gcd with an irreducible minpoly is a nonzero constant
-        inv = [c / const for c in s0]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return CycloNumber(self.field, self.field._reduce(inv))
+        f, n = self.field, self.field.degree
+        D = math.lcm(*(c.denominator for c in self.coeffs))
+        # the columns D * self * x^j of the multiplication matrix, each
+        # the last times x, reduced by x^degree = _red[0]
+        cols = [[int(c * D) for c in self.coeffs]]
+        for _ in range(n - 1):
+            last = cols[-1]
+            cols.append([last[-1] * r + s
+                         for r, s in zip(f._red[0], [0] + last[:-1])])
+        # Bareiss elimination on [M | e_0]: each division is exact
+        m = [list(row) + [int(i == 0)] for i, row in enumerate(zip(*cols))]
+        prev = 1
+        for k in range(n):
+            # M is invertible, self being nonzero in a field
+            p = next(i for i in range(k, n) if m[i][k])
+            m[k], m[p] = m[p], m[k]
+            pivot, pk = m[k], m[k][k]
+            for i in range(k + 1, n):
+                row, a = m[i], m[i][k]
+                m[i] = [(pk * x - a * y) // prev for x, y in zip(row, pivot)]
+            prev = pk
+        # back substitution for y = det * c, an integer vector
+        det, y = prev, [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            t = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+            y[i] = t // row[i]
+        return CycloNumber(f, tuple(_rational(D * v, det) for v in y))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -190,7 +214,7 @@ class CycloNumber:
     def conjugate(self):
         """Image under complex conjugation, x^k -> x^{-k}."""
         f = self.field
-        conv = [Fraction(0)] * f.n
+        conv = [0] * f.n
         for k, c in enumerate(self.coeffs):
             conv[-k % f.n] += c
         return CycloNumber(f, f._reduce(conv))
@@ -209,38 +233,7 @@ class CycloNumber:
         return "CycloNumber(h=%d, %s)" % (self.field.h, list(self.coeffs))
 
 
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b):
-    a = [Fraction(c) for c in a]
-    b = _poly_trim([Fraction(c) for c in b])
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
+def _rational(num, den):
+    """num / den, an int where den divides num."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q

@@ -49,8 +49,9 @@ def qfact_monomial(n):
 
 
 def clear_caches():
-    qint_monomial.cache_clear()
-    qfact_monomial.cache_clear()
+    """Empty every memo of this module, so that the next compile runs cold."""
+    for memo in (qint_monomial, qfact_monomial, _fold_row):
+        memo.cache_clear()
 
 
 @functools.cache

@@ -230,6 +230,20 @@ class TestSweep:
         assert abs(sweep_val - complex(want["re"], want["im"])) \
             <= 1e-9 * (1 + abs(sweep_val))
 
+    def test_single_point_sits_at_start(self, capsys):
+        # one point of a grid whose bounds differ is its start
+        args = ("sweep", "--spins", "2,2,2,2,2,2", "--count", "1",
+                "--format", "csv")
+        code, out, _ = run(capsys, *args, "--start", "0.5", "--stop", "2.5")
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[2].startswith("# points=1 ")
+        q = complex(*map(float, rows[1].split(",")[1:3]))
+        assert abs(q - complex(math.cos(0.5), math.sin(0.5))) <= 1e-12
+        code, alone, _ = run(capsys, *args, "--start", "0.5", "--stop", "0.5")
+        assert alone.splitlines()[1].split(",")[1:5] \
+            == rows[1].split(",")[1:5]
+
     def test_compiles_once_footer(self, capsys, monkeypatch):
         compiled = count_compiles(monkeypatch, cli)
         code, out, _ = run(capsys, "sweep", "--spins", "2,2,2,2,2,2",

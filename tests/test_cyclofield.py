@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic: polynomial coefficients and field ops."""
 
+import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,9 @@ from mpmath import mp, mpf
 
 from qcyclo.compiler import SixJLabels, compile_sixj
 from qcyclo.cyclofield import CycloField, CycloNumber, cyclotomic_coeffs
-from qcyclo.projection import RootOfUnityExact, evaluate, make_context
+from qcyclo.projection import (ComplexExtended, RootOfUnityExact,
+                               amplitude_to_complex, evaluate, make_context,
+                               root_of_unity_context)
 
 
 def _poly_mul_int(a, b):
@@ -197,3 +201,54 @@ class TestCycloField:
         with pytest.raises(ValueError, match="do not mix"):
             op(b, a)
         assert a != b and CycloField(5).one != CycloField(7).one
+
+
+class TestIntegerArithmetic:
+    """Coefficients stay ints until a division; the inverse is one
+    fraction-free solve."""
+
+    @pytest.mark.parametrize("h", (3, 4, 6, 13, 33, 47))
+    def test_inverse_of_rational_elements(self, h):
+        F = CycloField(h)
+        rng = random.Random(h)
+        xs = [CycloNumber(F, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                              for _ in range(F.degree - 1)]
+                          + [Fraction(rng.choice((-1, 1)), 7)])
+              for _ in range(3)]
+        for x in xs:
+            assert math.lcm(*(c.denominator for c in x.coeffs)) != 1
+            assert x * x.inverse() == F.one
+        # the inverse's coefficients have some 250 bits at h = 47, so its
+        # own inverse is the slow solve here: one is checked
+        assert xs[0].inverse().inverse() == xs[0]
+        with pytest.raises(ZeroDivisionError):
+            F.zero.inverse()
+
+    def test_table_and_row_sides_are_ints(self):
+        ctx = make_context(RootOfUnityExact(13), 20)
+        for s in ctx.ring.s[1:]:
+            assert all(type(c) is int for c in s.coeffs)
+        dcr = compile_sixj(SixJLabels(*(6,) * 6))
+        assert dcr.d_max <= 20
+        for row in dcr.rows:
+            for side in ctx.ring.sides(row):
+                assert all(type(c) is int for c in side.coeffs), row
+
+    def test_from_rational_converts_only_non_ints(self):
+        F = CycloField(5)
+        half = F.from_rational(0.5).coeffs[0]
+        assert type(half) is Fraction and half == Fraction(1, 2)
+        assert type(F.from_rational(3).coeffs[0]) is int
+
+    def test_degree_100_matches_extended(self):
+        # (30,)*6 at h = 101, a field of degree 100: the inverse there is
+        # one solve of a 100 x 100 integer system
+        dcr = compile_sixj(SixJLabels(*(30,) * 6))
+        ctx = make_context(RootOfUnityExact(101), max(dcr.d_max, 101))
+        assert ctx.one.field.degree == 100
+        got = amplitude_to_complex(evaluate(dcr, ctx), ctx)
+        tag = ComplexExtended(256)
+        ctx = root_of_unity_context(101, tag, max(dcr.d_max, 101))
+        want = amplitude_to_complex(evaluate(dcr, ctx), ctx)
+        with mp.workprec(256):
+            assert abs(got - want) <= mpf(10) ** -60 * abs(want)
