@@ -125,8 +125,9 @@ def _build_parser():
     p = sub.add_parser("table", help="reproduce a reference table")
     p.add_argument("which", choices=("t1", "t3", "t4"))
     add_common(p, spins=False, level=False)
-    p.add_argument("--bits", type=int, default=2048,
-                   help="precision of the truth column (t3)")
+    p.add_argument("--bits", type=int,
+                   help="precision of the truth column (t3 only; "
+                        "default 2048)")
 
     p = sub.add_parser("tv", help="partition sum over a triangulation file")
     p.add_argument("--triangulation", required=True)
@@ -155,6 +156,11 @@ def _check_args(args):
                               % ", ".join(_MP_ENGINES))
         if args.bits is None and args.engine in _MP_ENGINES:
             args.bits = 256
+    if args.command == "table":
+        if args.bits is not None and args.which != "t3":
+            raise ConfigError("--bits only applies to table t3")
+        if args.which == "t3" and args.bits is None:
+            args.bits = 2048
     if args.command == "sweep" and args.count < 1:
         raise ConfigError("--count must be >= 1")
 

@@ -116,11 +116,18 @@ def lse_eval_sixj(labels, h, precision="double"):
             acc += (-1.0 if z % 2 else 1.0) * math.exp(lt - m)
         return math.exp(m) * acc
     with mp.workprec(int(precision)):
-        acc = mpf(0)
-        for z, lt, _ in _term_logs(labels, h, _log_sin_mp(h), mpf(0)):
-            t = mp.exp(lt)
-            acc += -t if z % 2 else t
-        return acc
+        return _mp_terms(labels, h)[0]
+
+
+def _mp_terms(labels, h):
+    """The mpmath baseline at the working precision: the signed sum of
+    exp(log T_z) in ascending z, and per term (|T_z|, log N_z + log D_z)."""
+    value, terms = mpf(0), []
+    for z, lt, lnd in _term_logs(labels, h, _log_sin_mp(h), mpf(0)):
+        t = mp.exp(lt)
+        value += -t if z % 2 else t
+        terms.append((t, lnd))
+    return value, terms
 
 
 @dataclass(frozen=True)
@@ -144,17 +151,11 @@ def diagnostics_sixj(labels, h, bits=512):
     by log10|Phi_d(q^2)| (the unit-circle q-power contributes nothing).
     """
     with mp.workprec(bits):
-        value = mpf(0)
-        abs_sum = mpf(0)
-        max_term = mpf(0)
-        ge = mpf("-inf")
+        value, terms = _mp_terms(labels, h)
+        abs_sum = sum((t for t, _ in terms), mpf(0))
+        max_term = max(t for t, _ in terms)
         log10e = mp.log10(mp.e)
-        for z, lt, lnd in _term_logs(labels, h, _log_sin_mp(h), mpf(0)):
-            t = mp.exp(lt)
-            value += -t if z % 2 else t
-            abs_sum += t
-            max_term = max(max_term, t)
-            ge = max(ge, lnd * log10e)
+        ge = max(lnd * log10e for _, lnd in terms)
         kappa = abs_sum / abs(value)
         delta = mp.log10(max_term / abs(value))
     gd = _gamma_dcr(labels, h, bits=min(bits, 256))

@@ -145,7 +145,7 @@ class AmplitudeValue:
     """
     a: object
     r: object
-    root: object = None
+    root: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -761,8 +761,6 @@ def _branch_sqrt(r, root, sqrt_fn):
     # sign of sqrt(r) such that root * sqrt(r) is the principal square
     # root of root^2 * r (right half plane, upper on the imaginary axis)
     w = sqrt_fn(r)
-    if root is None:
-        return w
     c = root * w
     if c.real < 0 or (c.real == 0 and c.imag < 0):
         return -w
@@ -774,8 +772,8 @@ def amplitude_to_complex(v, ctx, bits=256):
     a, r = v.a, v.r
     if isinstance(a, CycloNumber):
         with mp.workprec(bits):
-            root = v.root.embed(bits) if v.root is not None else None
-            return a.embed(bits) * _branch_sqrt(r.embed(bits), root, mp.sqrt)
+            return a.embed(bits) * _branch_sqrt(r.embed(bits),
+                                                v.root.embed(bits), mp.sqrt)
     with mp.workprec(ctx.ring.bits or mp.prec):
         return a * _branch_sqrt(r, v.root,
                                 mp.sqrt if ctx.ring.bits else cmath.sqrt)

@@ -10,12 +10,14 @@ The partition sum ranges over level-admissible colorings of the
 interior edges.  Each tetrahedron contributes its 6j amplitude at
 h = k + 2 times the tetrahedral phase (-1)^{(tj1+...+tj6)/2}; the
 amplitude is read from a SixJTable: congruent tetrahedra (same labels up
-to the 24 tetrahedral symmetries) share one canonical key, which the
-table's DCRCache compiles once and its value memo projects once per
-context.  Compilation cost thus scales with the number of distinct
-congruence classes rather than the number of terms, and a DCRCache
-shared across levels compiles nothing twice.  diagnostics.identity_checks
-reads its amplitudes from a SixJTable too.
+to the 24 tetrahedral symmetries) share one canonical key, the least of
+their 24 label tuples, which canonical_sixj finds by sorting columns
+rather than listing the 24.  The table's DCRCache compiles each key
+once and its value memo projects it once per context.  Compilation cost
+thus scales with the number of distinct congruence classes rather than
+the number of terms, and a DCRCache shared across levels compiles
+nothing twice.  diagnostics.identity_checks reads its amplitudes from a
+SixJTable too.
 """
 
 import itertools
@@ -29,29 +31,24 @@ from .compiler import TRIADS, SixJLabels, compile_sixj, triangle_admissible
 from .monomial import _json_int
 from .qfactor import qint_monomial
 
-_COLUMN_PERMS = tuple(itertools.permutations((0, 1, 2)))
 # upper/lower exchange in exactly two columns, or none
 _FLIPS = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
-def sixj_images(tjs):
-    """All 24 images of a twice-spin 6-tuple under the tetrahedral
-    symmetries: column permutations of ((j1,j4),(j2,j5),(j3,j6))
-    composed with upper/lower exchange in two columns."""
-    cols = ((tjs[0], tjs[3]), (tjs[1], tjs[4]), (tjs[2], tjs[5]))
-    out = []
-    for perm in _COLUMN_PERMS:
-        for flips in _FLIPS:
-            pc = [cols[perm[i]][::-1] if flips[i] else cols[perm[i]]
-                  for i in range(3)]
-            out.append((pc[0][0], pc[1][0], pc[2][0],
-                        pc[0][1], pc[1][1], pc[2][1]))
-    return out
-
-
 def canonical_sixj(tjs):
-    """Lexicographic minimum over the 24 tetrahedral symmetries."""
-    return min(sixj_images(tjs))
+    """Lexicographic minimum of a twice-spin 6-tuple over its 24
+    tetrahedral images: column permutations of ((j1,j4),(j2,j5),(j3,j6))
+    composed with upper/lower exchange in two columns.  Under each
+    exchange the least column order is the sorted one, and the exchanges
+    map to each other under any column permutation, so the key is the
+    least of the four exchanges' sorted forms."""
+    cols = ((tjs[0], tjs[3]), (tjs[1], tjs[4]), (tjs[2], tjs[5]))
+    keys = []
+    for flips in _FLIPS:
+        (u1, l1), (u2, l2), (u3, l3) = sorted(
+            col[::-1] if flip else col for col, flip in zip(cols, flips))
+        keys.append((u1, u2, u3, l1, l2, l3))
+    return min(keys)
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ class DCRCache:
         return len(self._dcrs)
 
     def get(self, tjs):
-        key = canonical_sixj(tuple(tjs))
+        key = canonical_sixj(tjs)
         dcr = self._dcrs.get(key)
         if dcr is None:
             self.misses += 1
@@ -195,7 +192,7 @@ class SixJTable:
         return projection.project_monomial(qint_monomial(n), self.ctx)
 
     def sixj(self, tjs):
-        key = canonical_sixj(tuple(tjs))
+        key = canonical_sixj(tjs)
         v = self.values.get(key)
         if v is None:
             v = projection.amplitude_to_complex(

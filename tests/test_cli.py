@@ -154,6 +154,18 @@ class TestBits:
         assert code == 2 and out == ""
         assert "configuration error" in err and ">= 53" in err
 
+    @pytest.mark.parametrize("which", ("t1", "t4"))
+    def test_table_without_truth_column_refuses_bits(self, capsys, which):
+        # only t3 has a column whose precision --bits sets
+        code, out, err = run(capsys, "table", which, "--bits", "256")
+        assert code == 2 and out == ""
+        assert "configuration error" in err and "t3" in err
+
+    def test_table_t3_default_bits(self):
+        args = cli._build_parser().parse_args(["table", "t3"])
+        cli._check_args(args)
+        assert args.bits == 2048
+
 
 class TestLevel:
     # a negative level is a usage error for every command that takes one,

@@ -2,21 +2,25 @@
 cache amortization, partition values."""
 
 import importlib.resources
+import itertools
 import json
+import random
 from dataclasses import replace
 
 import pytest
 from mpmath import mp
 
 from qcyclo import statesum
-from qcyclo.compiler import SixJLabels, compile_sixj, triangle_admissible
+from qcyclo.compiler import (TRIADS, SixJLabels, compile_sixj,
+                             triangle_admissible)
 from qcyclo.diagnostics import dcr_eval_sixj
-from qcyclo.projection import (ComplexDouble, ComplexExtended,
-                               amplitude_to_complex, evaluate,
-                               project_monomial, root_of_unity_context)
+from qcyclo.projection import (ComplexDouble, ComplexExtended, PoleError,
+                               RootOfUnityExact, amplitude_to_complex,
+                               evaluate, make_context, project_monomial,
+                               root_of_unity_context)
 from qcyclo.qfactor import qint_monomial
 from qcyclo.statesum import (DCRCache, Triangulation, admissible_colorings,
-                             canonical_sixj, load_triangulation, sixj_images,
+                             canonical_sixj, load_triangulation,
                              triangulation_from_json, tv_partition)
 
 from conftest import count_compiles, trig_qint_mp
@@ -38,6 +42,22 @@ TWO_TETS = Triangulation(
 )
 
 
+def sixj_images(tjs):
+    """All 24 images of a twice-spin 6-tuple under the tetrahedral
+    symmetries, listed one by one: column permutations of
+    ((j1,j4),(j2,j5),(j3,j6)) composed with upper/lower exchange in two
+    columns.  The brute-force oracle for canonical_sixj."""
+    cols = ((tjs[0], tjs[3]), (tjs[1], tjs[4]), (tjs[2], tjs[5]))
+    out = []
+    for perm in itertools.permutations((0, 1, 2)):
+        for flips in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
+            pc = [cols[perm[i]][::-1] if flips[i] else cols[perm[i]]
+                  for i in range(3)]
+            out.append((pc[0][0], pc[1][0], pc[2][0],
+                        pc[0][1], pc[1][1], pc[2][1]))
+    return out
+
+
 class TestSymmetryOrbit:
     def test_orbit_size_and_membership(self):
         tjs = (2, 2, 4, 3, 1, 3)
@@ -52,6 +72,18 @@ class TestSymmetryOrbit:
             assert canonical_sixj(img) == key
         assert key == min(sixj_images(tjs))
 
+    def test_key_is_least_image_on_small_labels(self):
+        for tjs in itertools.product(range(5), repeat=6):
+            assert canonical_sixj(tjs) == min(sixj_images(tjs)), tjs
+
+    def test_key_is_least_image_on_large_labels(self):
+        rng = random.Random(26)
+        for _ in range(2000):
+            tjs = [rng.randint(0, 40) for _ in range(6)]
+            # ties between columns and between labels
+            tjs[rng.randrange(6)] = tjs[rng.randrange(6)]
+            assert canonical_sixj(tjs) == min(sixj_images(tjs)), tjs
+
     def test_amplitude_invariant_on_orbit(self):
         # numerical invariance under the 24 relabelings is what makes
         # canonicalization safe as a cache key
@@ -60,6 +92,61 @@ class TestSymmetryOrbit:
         for img in set(sixj_images((2, 2, 4, 3, 1, 3))):
             v = dcr_eval_sixj(SixJLabels(*img), 8, ComplexExtended(256))
             assert abs(v - base) <= 1e-10 * abs(base)
+
+
+def regge_image(tjs):
+    """The twice-spin Regge map (Regge 1959): (t1, (t2+t3+t5-t6)/2,
+    (t2+t3-t5+t6)/2, t4, (t2+t5+t6-t3)/2, (t3+t5+t6-t2)/2)."""
+    t1, t2, t3, t4, t5, t6 = tjs
+    doubled = (2 * t1, t2 + t3 + t5 - t6, t2 + t3 - t5 + t6, 2 * t4,
+               t2 + t5 + t6 - t3, t3 + t5 + t6 - t2)
+    assert all(x % 2 == 0 for x in doubled), tjs
+    return tuple(x // 2 for x in doubled)
+
+
+def admissible(tjs):
+    return all(triangle_admissible(*(tjs[i] for i in t)) for t in TRIADS)
+
+
+def exact_amplitude(tjs, h):
+    """(a^2 r, a sqrt(r)) of the 6j in Q(zeta_2h), or None at a pole."""
+    dcr = compile_sixj(SixJLabels(*tjs))
+    ctx = make_context(RootOfUnityExact(h), dcr.d_max)
+    try:
+        v = evaluate(dcr, ctx)
+    except PoleError:
+        return None
+    return v.a * v.a * v.r, complex(amplitude_to_complex(v, ctx))
+
+
+class TestReggeSymmetry:
+    """The q-6j is invariant under the Regge symmetries as well as the 24
+    tetrahedral ones.  A Regge image outside the tetrahedral class
+    compiles different rows, so equality in Q(zeta_2h) is an exact oracle
+    that does not lean on the compiler's own symmetry."""
+
+    def test_regge_image_exactly_equal(self):
+        rng = random.Random(18)
+        pairs = poles = 0
+        while pairs < 100:
+            tjs = tuple(rng.randint(0, 12) for _ in range(6))
+            if not admissible(tjs):
+                continue
+            img = regge_image(tjs)
+            assert admissible(img), (tjs, img)
+            if canonical_sixj(img) == canonical_sixj(tjs):
+                continue
+            pairs += 1
+            h = max(tjs + img) + rng.randint(1, 8)
+            want, got = exact_amplitude(tjs, h), exact_amplitude(img, h)
+            assert (want is None) == (got is None), (tjs, img, h)
+            if want is None:
+                poles += 1
+                continue
+            assert got[0] == want[0], (tjs, img, h)
+            assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
+        # the pairs exercise both outcomes: poles and exact equality
+        assert 0 < poles < pairs
 
 
 class TestTriangulation:
