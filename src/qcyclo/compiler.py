@@ -174,12 +174,18 @@ def sixj_descriptor(labels):
     return SixJDescriptor(a=a, b=b, labels=labels)
 
 
+def _triad_factorials(ta, tb, tc):
+    """The factorial arguments of one triad's Delta^2 =
+    (a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)!, from its twice-spins: the
+    three in the numerator, then the one in the denominator."""
+    return ((ta + tb - tc) // 2, (ta - tb + tc) // 2, (-ta + tb + tc) // 2,
+            (ta + tb + tc) // 2 + 1)
+
+
 def _triangle_radicand(ta, tb, tc):
-    # Delta^2 contents of one triad: (a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)!
-    m = qfactor.qfact_monomial((ta + tb - tc) // 2)
-    m = mul(m, qfactor.qfact_monomial((ta - tb + tc) // 2))
-    m = mul(m, qfactor.qfact_monomial((-ta + tb + tc) // 2))
-    return div(m, qfactor.qfact_monomial((ta + tb + tc) // 2 + 1))
+    n1, n2, n3, d = (qfactor.qfact_monomial(n)
+                     for n in _triad_factorials(ta, tb, tc))
+    return div(mul(mul(n1, n2), n3), d)
 
 
 def series_from_sixj(desc):

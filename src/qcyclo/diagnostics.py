@@ -86,9 +86,8 @@ def _term_logs(labels, h, log_sin, zero):
     tj = labels.as_tuple()
     lpre = zero
     for i, j, k in compiler.TRIADS:
-        ta, tb, tc = tj[i], tj[j], tj[k]
-        lpre += (lf[(ta + tb - tc) // 2] + lf[(ta - tb + tc) // 2]
-                 + lf[(-ta + tb + tc) // 2] - lf[(ta + tb + tc) // 2 + 1]) / 2
+        n1, n2, n3, d = compiler._triad_factorials(tj[i], tj[j], tj[k])
+        lpre += (lf[n1] + lf[n2] + lf[n3] - lf[d]) / 2
     for z in range(z_min, z_max + 1):
         lden = zero
         for ai in desc.a:
@@ -174,10 +173,10 @@ def _gamma_dcr(labels, h, bits=256):
         float(mp.log10(abs(projection.project_monomial(
             CycloMonomial(1, 0, {d: 1}), ctx))))
         for d in range(2, ctx.d_max + 1)]
-    exps = dict(dcr.base.exps.items())
+    exps = dict(sorted(dcr.base.exps.items()))
     best = _gamma_of(exps, lphi)
     for rz in dcr.ratios:
-        for d, e in rz.exps.items():
+        for d, e in sorted(rz.exps.items()):
             w = exps.get(d, 0) + e
             if w:
                 exps[d] = w

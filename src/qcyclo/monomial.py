@@ -1,14 +1,17 @@
-"""Sparse integer exponent vectors over the basis {q, Phi_d(q^2)} and the
+"""Sparse integer exponent maps over the basis {q, Phi_d(q^2)} and the
 free abelian monomial algebra on them.
 
 A CycloMonomial (sigma, P, e) stands for the formal expression
 
     sigma * q^P * prod_d Phi_d(q^2)^{e_d},    sigma in {-1,+1},
 
-with d ranging over the cyclotomic indices d >= 2 stored in the sparse
-exponent vector e.  Multiplication and division are entrywise integer
-adds/subtracts, so all cancellation happens here, at the integer level,
-before any field value is ever assigned.
+with d ranging over the cyclotomic indices d >= 2 of the sparse exponent
+map e.  The monomial is the one type: it checks its map on construction
+and holds it as a read-only mapping d -> e_d with no zero entries, in no
+particular order, so a memoized monomial cannot be changed by a caller.
+Multiplication and division are entrywise integer adds/subtracts, so all
+cancellation happens here, at the integer level, before any field value
+is ever assigned.
 
 Exponents and q-powers are held to a signed 64-bit envelope with explicit
 checks: Python ints never wrap, but anything outside that envelope means
@@ -17,6 +20,7 @@ the calling series is far beyond desk scale and almost certainly a bug.
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -34,65 +38,6 @@ def _check64(v, what):
     return v
 
 
-class ExponentVector:
-    """Sparse map d -> e_d with d >= 2; zero entries are never stored."""
-
-    __slots__ = ("_e",)
-
-    def __init__(self, entries=None):
-        e = {}
-        if entries:
-            for d, v in dict(entries).items():
-                d = int(d)
-                v = int(v)
-                if d < 2:
-                    raise ValueError("cyclotomic index must be >= 2, got %d" % d)
-                if v == 0:
-                    continue
-                _check64(v, "exponent e_%d" % d)
-                e[d] = v
-        self._e = e
-
-    def get(self, d, default=0):
-        return self._e.get(d, default)
-
-    def items(self):
-        """Entries in ascending d (deterministic serialization order)."""
-        return sorted(self._e.items())
-
-    def indices(self):
-        return sorted(self._e)
-
-    def max_index(self, default=1):
-        return max(self._e, default=default)
-
-    def merge(self, other, scale):
-        """Return self + scale*other as a new vector (scale = +1, -1, or any int)."""
-        e = dict(self._e)
-        for d, v in other._e.items():
-            w = e.get(d, 0) + _check64(scale * v, "exponent e_%d" % d)
-            _check64(w, "exponent e_%d" % d)
-            if w == 0:
-                e.pop(d, None)
-            else:
-                e[d] = w
-        out = ExponentVector.__new__(ExponentVector)
-        out._e = e
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, ExponentVector) and self._e == other._e
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-    def __bool__(self):
-        return bool(self._e)
-
-    def __repr__(self):
-        return "ExponentVector(%r)" % dict(self.items())
-
-
 class CycloMonomial:
     __slots__ = ("sigma", "P", "exps")
 
@@ -101,29 +46,33 @@ class CycloMonomial:
             raise ValueError("sigma must be +1 or -1, got %r" % (sigma,))
         self.sigma = sigma
         self.P = _check64(int(P), "q-power P")
-        if exps is None:
-            exps = ExponentVector()
-        elif not isinstance(exps, ExponentVector):
-            exps = ExponentVector(exps)
-        self.exps = exps
+        e = {}
+        if exps:
+            for d, v in dict(exps).items():
+                d, v = int(d), int(v)
+                if d < 2:
+                    raise ValueError("cyclotomic index must be >= 2, got %d" % d)
+                if v:
+                    e[d] = _check64(v, "exponent e_%d" % d)
+        self.exps = MappingProxyType(e)
 
     def max_index(self, default=1):
-        return self.exps.max_index(default)
+        return max(self.exps, default=default)
 
     def __eq__(self, other):
         return (isinstance(other, CycloMonomial) and self.sigma == other.sigma
                 and self.P == other.P and self.exps == other.exps)
 
     def __hash__(self):
-        return hash((self.sigma, self.P, self.exps))
+        return hash((self.sigma, self.P, frozenset(self.exps.items())))
 
     def __repr__(self):
         return "CycloMonomial(sigma=%+d, P=%d, e=%r)" % (
-            self.sigma, self.P, dict(self.exps.items()))
+            self.sigma, self.P, dict(sorted(self.exps.items())))
 
     def to_json_dict(self):
         return {"sigma": self.sigma, "P": self.P,
-                "e": {str(d): v for d, v in self.exps.items()}}
+                "e": {str(d): v for d, v in sorted(self.exps.items())}}
 
     @staticmethod
     def from_json_dict(obj):
@@ -157,16 +106,29 @@ class CycloMonomial:
 IDENTITY = CycloMonomial()
 
 
+def _merge(a, b, scale):
+    """a * b^scale, entry by entry.  Each sum is checked as it is formed,
+    so the result is built without checking its entries a second time."""
+    P = _check64(a.P + scale * b.P, "q-power P")
+    e = a.exps.copy()
+    for d, v in b.exps.items():
+        w = e.get(d, 0) + _check64(scale * v, "exponent e_%d" % d)
+        _check64(w, "exponent e_%d" % d)
+        if w == 0:
+            e.pop(d, None)
+        else:
+            e[d] = w
+    out = CycloMonomial.__new__(CycloMonomial)
+    out.sigma, out.P, out.exps = a.sigma * b.sigma, P, MappingProxyType(e)
+    return out
+
+
 def mul(a, b):
-    return CycloMonomial(a.sigma * b.sigma,
-                         _check64(a.P + b.P, "q-power P"),
-                         a.exps.merge(b.exps, +1))
+    return _merge(a, b, +1)
 
 
 def div(a, b):
-    return CycloMonomial(a.sigma * b.sigma,
-                         _check64(a.P - b.P, "q-power P"),
-                         a.exps.merge(b.exps, -1))
+    return _merge(a, b, -1)
 
 
 @dataclass(frozen=True)

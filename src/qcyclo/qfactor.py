@@ -108,7 +108,7 @@ def unfold(row):
         for n in g:
             qn = qint_monomial(n)
             P += f * qn.P
-            for d in qn.exps.indices():
+            for d in qn.exps:
                 exps[d] = exps.get(d, 0) + f
     return CycloMonomial(sigma, P, exps)
 

@@ -7,8 +7,12 @@ A triangulation is a combinatorial object: named edges, tetrahedra as
 the edge order (AB, AC, BC, CD, BD, AD).
 
 The partition sum ranges over level-admissible colorings of the
-interior edges.  Each tetrahedron contributes its 6j amplitude at
-h = k + 2 times the tetrahedral phase (-1)^{(tj1+...+tj6)/2}; the
+interior edges, in Turaev and Viro's convention (Topology 31, 1992):
+each edge weighs its signed quantum dimension (-1)^{tj} [tj+1], and
+each tetrahedron its 6j amplitude at h = k + 2 times the tetrahedral
+phase i^{tj1+...+tj6}.  In that convention the 2-3 move holds for odd
+boundary twice-spins too, and S^3 keeps its value A^{-1} after a 1-4
+move (tests/test_statesum.py).  The
 amplitude is read from a SixJTable: congruent tetrahedra (same labels up
 to the 24 tetrahedral symmetries) share one canonical key, the least of
 their 24 label tuples, which canonical_sixj finds by sorting columns
@@ -264,16 +268,23 @@ class TVStats:
 
 
 def tv_partition(tri, k, bits=None, weights=True, cache=None):
-    """Partition sum over admissible colorings at level k.
+    """Turaev-Viro partition sum over admissible colorings at level k.
 
-    Each coloring contributes prod_edges [tj+1]_q * prod_tets
-    (-1)^{(tj1+...+tj6)/2} (6j amplitude at h = k+2), the half sum
-    rounded down as in the pentagon phase of identity_checks; the total
-    is scaled by A^{-num_vertices} with A = sum_{tj=0}^{k} [tj+1]_q^2.
-    weights=False drops the edge factors (and the normalization stays),
-    for the bare form of the sum.  bits=None computes in double
-    precision, otherwise in extended precision with that many bits, sums
-    and products included.
+    The convention is Turaev and Viro's (Topology 31, 1992).  An edge of
+    spin j weighs the signed dimension (-1)^{2j} [2j+1]_q, in twice-spins
+    (-1)^{tj} [tj+1]_q.  A tetrahedron weighs its symmetrized symbol,
+    (-1)^{j1+...+j6} times its 6j amplitude at h = k+2; in twice-spins
+    the phase is i^{tj1+...+tj6}, and it is +-i where the twice-spins
+    add to an odd number.  Each coloring adds its signs and phases into
+    one exponent of i, taken mod 4, and applies it once to the product
+    of its dimensions and amplitudes, so a coloring with an even
+    exponent is only ever negated.  The total is scaled by
+    A^{-num_vertices} with A = sum_{tj=0}^{k} [tj+1]_q^2, the sum of
+    the squared signed dimensions, and S^3 has the value A^{-1}.
+    weights=False drops the edge factors, their signs included (the
+    normalization stays), for the bare form of the sum.  bits=None
+    computes in double precision, otherwise in extended precision with
+    that many bits, sums and products included.
 
     Returns (value, TVStats).
     """
@@ -290,15 +301,19 @@ def tv_partition(tri, k, bits=None, weights=True, cache=None):
         total = 0
         for coloring in admissible_colorings(tri, k):
             colorings += 1
-            term = 1
+            term, phase = 1, 0
             if weights:
                 for e in tri.edges:
                     term = term * qdim[coloring[e]]
+                    phase += 2 * coloring[e]
             for tet in tri.tetrahedra:
                 tjs = [coloring[e] for e in tet]
                 term = term * table.sixj(tjs)
-                if sum(tjs) // 2 % 2:
-                    term = -term
+                phase += sum(tjs)
+            if phase % 4 >= 2:
+                term = -term
+            if phase % 2:
+                term = term * 1j
             total = total + term
         total = total * norm
     stats = TVStats(num_colorings=colorings,

@@ -274,7 +274,7 @@ def test_criterion_08_root_of_unity_soundness():
                 compared += 1
                 ctx_ex = make_context(RootOfUnityExact(h), max(dcr.d_max, h))
                 for m in (dcr.base, *dcr.ratios, dcr.root, dcr.rad):
-                    if m.exps.get(h) > 0:
+                    if m.exps.get(h, 0) > 0:
                         assert project_monomial(m, ctx) == 0
                         assert project_monomial(m, ctx_ex).is_zero()
                         zero_monomials += 1

@@ -198,7 +198,7 @@ class TestCompile:
         dcr = compile_sixj(SixJLabels(*tjs))
         assert dcr.num_terms() == dcr.z_max - dcr.z_min + 1
         assert len(dcr.ratios) == dcr.num_terms() - 1
-        assert dcr.d_max >= max((max(m.exps.indices(), default=1))
+        assert dcr.d_max >= max((max(m.exps, default=1))
                                 for m in (dcr.base, dcr.root, dcr.rad))
 
 
@@ -262,19 +262,26 @@ class TestRows:
 
     def test_compile_builds_no_monomial_per_ratio(self, monkeypatch):
         # with the factorial cache warm, a compile constructs as many
-        # exponent vectors for 10 ratios as for 145
+        # monomials for 10 ratios as for 145, counting both the checking
+        # constructor and the products mul and div build
         built = []
-        real = monomial.ExponentVector.__init__
+        real_init = monomial.CycloMonomial.__init__
+        real_merge = monomial._merge
 
-        def counting(self, entries=None):
-            built.append(entries)
-            real(self, entries)
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        def counting_merge(a, b, scale):
+            built.append((a, b, scale))
+            return real_merge(a, b, scale)
 
         def constructions(labels):
             compile_sixj(labels)
             built.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(monomial.ExponentVector, "__init__", counting)
+                patch.setattr(monomial.CycloMonomial, "__init__", counting_init)
+                patch.setattr(monomial, "_merge", counting_merge)
                 dcr = compile_sixj(labels)
             return len(built), len(dcr.rows) - 3
 
@@ -307,7 +314,7 @@ class TestRows:
             raise AssertionError("compile_series built a monomial product")
         monkeypatch.setattr(qfactor, "fold", counting)
         monkeypatch.setattr(qfactor, "qfact_monomial", refuse)
-        monkeypatch.setattr(monomial.ExponentVector, "merge", refuse)
+        monkeypatch.setattr(monomial, "_merge", refuse)
         dcr = compile_series(series)
         assert len(dcr.ratios) > 3
         split = monomial.sqrt_split(series.prefactor_radicand)

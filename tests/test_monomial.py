@@ -5,39 +5,56 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from qcyclo.monomial import (CycloMonomial, ExponentVector, IDENTITY,
-                             div, mul, sqrt_split)
+from qcyclo.monomial import CycloMonomial, IDENTITY, div, mul, sqrt_split
 
 exp_dicts = st.dictionaries(st.integers(min_value=2, max_value=40),
                             st.integers(min_value=-30, max_value=30),
                             max_size=8)
 monomials = st.builds(
-    lambda s, p, e: CycloMonomial(s, p, ExponentVector(e)),
+    CycloMonomial,
     st.sampled_from((1, -1)),
     st.integers(min_value=-1000, max_value=1000),
     exp_dicts)
 
 
 class TestExponentVector:
+    # the sparse exponent vector e of a monomial, held as a read-only map
     def test_drops_zeros(self):
-        e = ExponentVector({2: 0, 3: 5})
-        assert e.get(2) == 0
-        assert e.items() == [(3, 5)]
+        m = CycloMonomial(1, 0, {2: 0, 3: 5})
+        assert m.exps.get(2, 0) == 0
+        assert dict(m.exps) == {3: 5}
 
     def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            ExponentVector({1: 3})
-        with pytest.raises(ValueError):
-            ExponentVector({0: 1})
+        with pytest.raises(ValueError,
+                           match="cyclotomic index must be >= 2, got 1"):
+            CycloMonomial(1, 0, {1: 3})
+        with pytest.raises(ValueError,
+                           match="cyclotomic index must be >= 2, got 0"):
+            CycloMonomial(1, 0, {0: 1})
 
     def test_merge_is_addition(self):
-        a = ExponentVector({2: 3, 5: -1})
-        b = ExponentVector({2: -3, 7: 4})
-        m = a.merge(b, 1)
-        assert m.get(2) == 0 and m.get(5) == -1 and m.get(7) == 4
+        # mul and div add and subtract entrywise, and drop what cancels
+        a = CycloMonomial(1, 0, {2: 3, 5: -1})
+        b = CycloMonomial(1, 0, {2: -3, 7: 4})
+        assert dict(mul(a, b).exps) == {5: -1, 7: 4}
+        assert dict(div(a, a).exps) == {}
+        assert dict(a.exps) == {2: 3, 5: -1}  # operands left as they were
 
     def test_max_index_empty(self):
-        assert ExponentVector({}).max_index() == 1
+        assert CycloMonomial().max_index() == 1
+        assert CycloMonomial(1, 0, {3: 1, 12: -2}).max_index() == 12
+
+    def test_map_is_read_only(self):
+        m = mul(CycloMonomial(1, 0, {2: 1}), CycloMonomial(1, 0, {3: 1}))
+        for built in (m, CycloMonomial(1, 0, {2: 1})):
+            with pytest.raises(TypeError):
+                built.exps[2] = 5
+        assert dict(m.exps) == {2: 1, 3: 1}
+
+    def test_hash_ignores_entry_order(self):
+        a = CycloMonomial(-1, 4, {2: 1, 3: -2, 7: 1})
+        b = CycloMonomial(-1, 4, {7: 1, 3: -2, 2: 1})
+        assert a == b and hash(a) == hash(b)
 
 
 class TestMonomialAlgebra:
@@ -46,8 +63,8 @@ class TestMonomialAlgebra:
         z = mul(x, y)
         assert z.sigma == x.sigma * y.sigma
         assert z.P == x.P + y.P
-        for idx in set(x.exps.indices()) | set(y.exps.indices()):
-            assert z.exps.get(idx) == x.exps.get(idx) + y.exps.get(idx)
+        for idx in set(x.exps) | set(y.exps):
+            assert z.exps.get(idx, 0) == x.exps.get(idx, 0) + y.exps.get(idx, 0)
 
     @given(monomials, monomials)
     def test_div_inverts_mul(self, x, y):
@@ -73,19 +90,25 @@ class TestMonomialAlgebra:
 
     def test_identity(self):
         assert (IDENTITY.sigma, IDENTITY.P, IDENTITY.exps) \
-            == (1, 0, ExponentVector())
-        m = CycloMonomial(-1, 3, ExponentVector({2: 1}))
+            == (1, 0, {})
+        m = CycloMonomial(-1, 3, {2: 1})
         assert mul(m, IDENTITY) == m
 
 
 class TestOverflowGuard:
     def test_exponent_overflow(self):
-        big = CycloMonomial(1, 2 ** 62, ExponentVector({}))
+        big = CycloMonomial(1, 2 ** 62, {})
         with pytest.raises(OverflowError):
             mul(big, big)
 
+    def test_constructor_checks_entries(self):
+        with pytest.raises(OverflowError, match="exponent e_5 exceeds"):
+            CycloMonomial(1, 0, {2: 1, 5: 2 ** 63})
+        with pytest.raises(OverflowError, match="q-power P exceeds"):
+            CycloMonomial(1, -2 ** 63 - 1, {})
+
     def test_entry_overflow(self):
-        m = CycloMonomial(1, 0, ExponentVector({2: 2 ** 62}))
+        m = CycloMonomial(1, 0, {2: 2 ** 62})
         with pytest.raises(OverflowError):
             mul(m, m)
 

@@ -866,7 +866,7 @@ def project_monomial_chain(dcr, ctx):
         term = total = project_monomial(dcr.base, ctx)
         terms = [term]
         for rz in dcr.ratios:
-            if h is not None and rz.exps.get(h) > 0:
+            if h is not None and rz.exps.get(h, 0) > 0:
                 break
             term = term * project_monomial(rz, ctx)
             total = total + term
@@ -884,7 +884,7 @@ def project_monomial_nest(dcr, ctx):
     h, one = ctx.vanishing_index, ctx.one
     walked = []
     for rz in dcr.ratios:
-        if h is not None and rz.exps.get(h) > 0:
+        if h is not None and rz.exps.get(h, 0) > 0:
             break
         walked.append(project_monomial(rz, ctx))
     A = one

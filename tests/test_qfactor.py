@@ -65,6 +65,19 @@ class TestQuantumFactorial:
         with pytest.raises(ValueError):
             qfact_monomial(-1)
 
+    def test_memoized_monomial_is_read_only(self):
+        # qfact_monomial hands every caller the one memoized object, so
+        # its exponent map refuses writes rather than trusting callers
+        m = qfact_monomial(6)
+        before = dict(m.exps)
+        with pytest.raises(TypeError):
+            m.exps[5] = 7
+        with pytest.raises(TypeError):
+            del m.exps[2]
+        assert qfact_monomial(6) is m
+        assert dict(qfact_monomial(6).exps) == before == {2: 3, 3: 2, 4: 1,
+                                                          5: 1, 6: 1}
+
     @given(st.integers(min_value=1, max_value=200))
     def test_recurrence(self, n):
         assert qfact_monomial(n) == mul(qfact_monomial(n - 1), qint_monomial(n))

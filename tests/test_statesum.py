@@ -310,7 +310,9 @@ class TestDCRCache:
 
 
 def direct_two_tet_sum(tri, k):
-    """Cache-free oracle: explicit loops, per-coloring recompilation."""
+    """Cache-free oracle: explicit loops, per-coloring recompilation, in
+    Turaev and Viro's convention: the signed edge dimension
+    (-1)^tj [tj+1] and the tetrahedral phase i^(tj1+...+tj6)."""
     h = k + 2
     ctx = root_of_unity_context(h, ComplexDouble(), 2 * k + 2)
     qdim = [project_monomial(qint_monomial(tj + 1), ctx) for tj in range(k + 1)]
@@ -328,10 +330,11 @@ def direct_two_tet_sum(tri, k):
                     continue
                 term = 1
                 for e in tri.edges:
-                    term = term * qdim[col[e]]
+                    term = term * (-1) ** col[e] * qdim[col[e]]
                 for tjs in tet_js:
                     dcr = compile_sixj(SixJLabels(*tjs))
-                    term = term * amplitude_to_complex(evaluate(dcr, ctx), ctx)
+                    term = term * 1j ** sum(tjs) * amplitude_to_complex(
+                        evaluate(dcr, ctx), ctx)
                 total = total + term
     return total * norm
 
@@ -455,10 +458,6 @@ class TestPartitionSum:
         self.two_three_move(
             k, lambda boundary: not any(tj % 2 for tj in boundary.values()))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "with an odd twice-spin on the boundary the two sides can differ "
-        "in sign: the tetrahedral phase (-1)^floor(sum/2) and the unsigned "
-        "edge weight [tj+1] do not give a move invariant there"))
     def test_two_three_move_half_integer_spins(self):
         self.two_three_move(
             3, lambda boundary: any(tj % 2 for tj in boundary.values()))
@@ -467,10 +466,30 @@ class TestPartitionSum:
     def test_closed_sphere_is_inverse_total_dimension(self, k):
         # two tetrahedra glued face to face along all four faces give S^3,
         # whose invariant is A^{-1}, A = sum_{tj=0}^{k} [tj+1]^2; the two
-        # tetrahedral phases square out, so this checks the normalization
+        # tetrahedral phases i^sum multiply to (-1)^sum, which the six
+        # signed edge dimensions cancel, so this checks the normalization
         v, _ = tv_partition(CLOSED_S3, k, bits=256)
         with mp.workprec(256):
             theta = mp.pi / (k + 2)
             want = 1 / sum(trig_qint_mp(tj + 1, theta) ** 2
                            for tj in range(k + 1))
+            assert abs(v - want) <= mp.mpf(10) ** -70 * want
+
+    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
+    def test_closed_sphere_after_one_four_move(self, k):
+        # CLOSED_S3 with one ABCD replaced by ball_4tet's four tetrahedra
+        # around a new vertex E: 5 vertices, 10 edges and 5 tetrahedra,
+        # still S^3.  The boundary of the four is ABCD's, so odd
+        # twice-spins reach every face, and the sum still gives A^{-1}.
+        four = load_triangulation(str(DATA / "ball_4tet.json"))
+        tri = Triangulation(num_vertices=5, edges=four.edges,
+                            tetrahedra=(EDGES,) + four.tetrahedra,
+                            boundary={})
+        assert (len(tri.edges), len(tri.tetrahedra)) == (10, 5)
+        v, _ = tv_partition(tri, k, bits=256)
+        with mp.workprec(256):
+            theta = mp.pi / (k + 2)
+            want = 1 / sum(trig_qint_mp(tj + 1, theta) ** 2
+                           for tj in range(k + 1))
+            assert v.imag == 0
             assert abs(v - want) <= mp.mpf(10) ** -70 * want
